@@ -67,6 +67,5 @@ from .harness import (
     symbol_rate_bps,
     write_csv,
 )
-from ._kernels import backend_name
 
 __version__ = "0.1.0"

@@ -1,24 +1,11 @@
-"""Hot numeric kernels: fading-trace synthesis and tapped-delay-line filtering.
-
-Both kernels exist twice: a numba ``@njit`` version and a pure-numpy
-fallback.  The numba path is used when numba imports cleanly; set
-``CHIRPLINK_NUMBA=0`` in the environment to force the numpy path.  Both
-paths accumulate in the same order, so results agree to float rounding.
-"""
+"""Hot numeric kernels: fading-trace synthesis and tapped-delay-line filtering."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("CHIRPLINK_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-def jakes_trace_numpy(omegas: np.ndarray, phases: np.ndarray, ts: float, n_samples: int) -> np.ndarray:
+def jakes_trace(omegas: np.ndarray, phases: np.ndarray, ts: float, n_samples: int) -> np.ndarray:
     """Sum-of-sinusoids fading trace h[i] = sum_k exp(j(w_k*i*ts + p_k))/sqrt(K)."""
     t = np.arange(n_samples) * ts
     acc = np.zeros(n_samples, dtype=np.complex128)
@@ -27,7 +14,7 @@ def jakes_trace_numpy(omegas: np.ndarray, phases: np.ndarray, ts: float, n_sampl
     return acc / np.sqrt(len(omegas))
 
 
-def tdl_apply_numpy(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def tdl_apply(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start."""
     n = x.size
     y = np.zeros(n, dtype=np.complex128)
@@ -38,56 +25,3 @@ def tdl_apply_numpy(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.
         elif d < n:
             y[d:] += gains[l, d:] * x[: n - d]
     return y
-
-
-_HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def jakes_trace_numba(omegas, phases, ts, n_samples):  # pragma: no cover - numba
-        k = omegas.size
-        inv = 1.0 / np.sqrt(k)
-        out = np.empty(n_samples, dtype=np.complex128)
-        for i in range(n_samples):
-            t = i * ts
-            re = 0.0
-            im = 0.0
-            for j in range(k):
-                a = omegas[j] * t + phases[j]
-                re += np.cos(a)
-                im += np.sin(a)
-            out[i] = complex(re * inv, im * inv)
-        return out
-
-    @njit(cache=True)
-    def tdl_apply_numba(x, delays, gains):  # pragma: no cover - numba
-        n = x.size
-        y = np.zeros(n, dtype=np.complex128)
-        for l in range(delays.size):
-            d = delays[l]
-            for i in range(d, n):
-                y[i] += gains[l, i] * x[i - d]
-        return y
-
-    jakes_trace = jakes_trace_numba
-    tdl_apply = tdl_apply_numba
-    BACKEND = "numba"
-else:
-    jakes_trace_numba = None
-    tdl_apply_numba = None
-    jakes_trace = jakes_trace_numpy
-    tdl_apply = tdl_apply_numpy
-    BACKEND = "numpy"
-
-
-def backend_name() -> str:
-    """Which kernel implementation is active: ``"numba"`` or ``"numpy"``."""
-    return BACKEND

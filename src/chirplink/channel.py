@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .modem import get_scheme
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -43,8 +44,8 @@ class NoiseSpec:
 
 
 def bits_per_symbol(sf: int, scheme: str) -> int:
-    """Bits carried by one chirp: ``2*sf`` for the I/Q scheme, ``sf`` otherwise."""
-    return 2 * sf if scheme.startswith("iqcss") else sf
+    """Bits carried by one chirp: ``sf`` per data stream of the named scheme."""
+    return get_scheme(scheme).streams * sf
 
 
 def ebn0_db_to_snr_db(ebn0_db: float, sf: int, scheme: str) -> float:
@@ -143,10 +144,6 @@ class TapProfile:
         return np.rint(self.delays_s * sample_rate_hz).astype(np.int64)
 
     @classmethod
-    def single_tap(cls) -> "TapProfile":
-        return cls(np.zeros(1), np.ones(1))
-
-    @classmethod
     def from_db(cls, delays_us, powers_db) -> "TapProfile":
         delays = np.asarray(delays_us, dtype=np.float64) * 1e-6
         powers = 10.0 ** (np.asarray(powers_db, dtype=np.float64) / 10.0)
@@ -200,20 +197,6 @@ class ChannelRealization:
     @property
     def n_samples(self) -> int:
         return self.gains.shape[1]
-
-    def mean_taps(self, start: int, stop: int) -> np.ndarray:
-        """Per-tap average gain over the sample window ``[start, stop)``."""
-        return self.gains[:, start:stop].mean(axis=1)
-
-    def impulse_response(self, length: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Average impulse response over a window; colliding taps add."""
-        stop = self.n_samples if stop is None else stop
-        h = np.zeros(length, dtype=np.complex128)
-        for d, g in zip(self.delays, self.mean_taps(start, stop)):
-            if d >= length:
-                raise ValueError(f"tap delay {d} does not fit a length-{length} response")
-            h[d] += g
-        return h
 
 
 def _sos_params(n_sinusoids: int, max_doppler_hz: float, rng: np.random.Generator):

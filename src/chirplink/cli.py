@@ -2,7 +2,8 @@
 
 Options mirror :class:`~chirplink.harness.SimConfig` fields; a flat
 ``key = value`` config file may set any field, with command-line flags taking
-precedence.  Exit codes: 0 success, 2 configuration error, 3 I/O error.
+precedence.  Exit codes: 0 success, 1 failed loopback or a sweep whose plot
+could not be drawn (its CSV is written), 2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -10,26 +11,33 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 
 import numpy as np
 
 from .chirp import SpreadingFactor, VALID_SF, raw_upchirp, despread, dft
-from .modem import (
-    IqPair,
-    ModConfig,
-    iqcss_demodulate,
-    iqcss_modulate,
-    lora_demod_coherent,
-    lora_demod_noncoherent,
-    lora_modulate,
-)
+from .modem import SCHEMES, ModConfig, lora_modulate
 from .channel import apply_awgn, snr_to_sigma2
-from .harness import SCHEMES, CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, write_csv
+from .harness import CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, write_csv
 from .plotting import plot_records_svg
 
-_INT_FIELDS = {"max_frames", "min_bit_errors", "seed", "payload_symbols", "workers"}
-_FLOAT_FIELDS = {"axis_start", "axis_step", "axis_stop", "bandwidth_hz", "carrier_hz", "speed_kmh"}
-_STR_FIELDS = {"scheme", "channel", "axis"}
+_FIELD_TYPES = typing.get_type_hints(SimConfig)
+# Fields set by hand-written flags (--sf, --no-truncate-est, the axis flags);
+# every other field gets a ``--field-name`` flag of its own type.
+_CUSTOM_FLAG_FIELDS = {"sf_list", "truncate_est", "axis", "axis_start", "axis_step", "axis_stop"}
+_FLAG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SimConfig) if f.name not in _CUSTOM_FLAG_FIELDS
+)
+_FLAG_CHOICES = {"scheme": tuple(SCHEMES), "channel": tuple(CHANNELS)}
+
+
+def _field_type(name: str) -> tuple[type, bool]:
+    """A SimConfig field's type without ``| None``, and whether None is allowed."""
+    hint = _FIELD_TYPES[name]
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return next(a for a in args if a is not type(None)), True
+    return hint, False
 
 
 def _parse_bool(text: str) -> bool:
@@ -64,30 +72,20 @@ def parse_axis_spec(text: str) -> tuple[float, float, float]:
 
 
 def _coerce_field(name: str, text: str):
+    if name not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {name!r}")
+    kind, optional = _field_type(name)
     text = text.strip()
-    if name in _INT_FIELDS:
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"field {name} expects an integer, got {text!r}") from exc
-    if name in _FLOAT_FIELDS:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"field {name} expects a number, got {text!r}") from exc
-    if name in _STR_FIELDS:
-        return text
-    if name == "sf_list":
-        return _parse_sf_list(text)
-    if name == "cp_len":
-        return None if text.lower() == "none" else int(text)
-    if name == "es":
-        return None if text.lower() == "none" else float(text)
-    if name == "tap_profile":
-        return None if text.lower() == "none" else text
-    if name == "truncate_est":
+    if optional and text.lower() == "none":
+        return None
+    if kind is bool:
         return _parse_bool(text)
-    raise ConfigError(f"unknown config key {name!r}")
+    if typing.get_origin(kind) is tuple:
+        return _parse_sf_list(text)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"field {name} expects {kind.__name__}, got {text!r}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -107,22 +105,12 @@ def read_config_file(path: str) -> dict:
 
 def _add_sim_options(sub: argparse.ArgumentParser, axis_flags: tuple[str, ...]) -> None:
     sub.add_argument("--config", help="config file; flags override its values")
-    sub.add_argument("--scheme", choices=SCHEMES)
+    for name in _FLAG_FIELDS:
+        kind, _ = _field_type(name)
+        sub.add_argument("--" + name.replace("_", "-"), type=kind, choices=_FLAG_CHOICES.get(name))
     sub.add_argument("--sf", help="spreading factors, e.g. 7 or 7,8")
-    sub.add_argument("--channel", choices=CHANNELS)
     for flag in axis_flags:
         sub.add_argument(f"--{flag}", help="sweep in dB: start:step:stop or one value")
-    sub.add_argument("--max-frames", type=int)
-    sub.add_argument("--min-bit-errors", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--bandwidth-hz", type=float)
-    sub.add_argument("--carrier-hz", type=float)
-    sub.add_argument("--speed-kmh", type=float)
-    sub.add_argument("--cp-len", type=int)
-    sub.add_argument("--payload-symbols", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--tap-profile")
-    sub.add_argument("--es", type=float)
     sub.add_argument(
         "--no-truncate-est",
         action="store_true",
@@ -130,69 +118,52 @@ def _add_sim_options(sub: argparse.ArgumentParser, axis_flags: tuple[str, ...]) 
     )
     sub.add_argument("--out", default="results.csv", help="output CSV path")
     sub.add_argument("--plot", help="optional SVG plot path")
+    sub.set_defaults(axis_flags=axis_flags)
 
 
-def _config_from_args(args: argparse.Namespace, axis_flags: tuple[str, ...]) -> SimConfig:
+def _config_from_args(args: argparse.Namespace) -> SimConfig:
     overrides: dict = {}
     if args.config:
         overrides.update(read_config_file(args.config))
 
-    flag_map = {
-        "scheme": args.scheme,
-        "channel": args.channel,
-        "max_frames": args.max_frames,
-        "min_bit_errors": args.min_bit_errors,
-        "seed": args.seed,
-        "bandwidth_hz": args.bandwidth_hz,
-        "carrier_hz": args.carrier_hz,
-        "speed_kmh": args.speed_kmh,
-        "cp_len": args.cp_len,
-        "payload_symbols": args.payload_symbols,
-        "workers": args.workers,
-        "tap_profile": args.tap_profile,
-        "es": args.es,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            overrides[key] = value
+    for name in _FLAG_FIELDS:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
     if args.sf is not None:
         overrides["sf_list"] = _parse_sf_list(args.sf)
     if args.no_truncate_est:
         overrides["truncate_est"] = False
 
-    given = [flag for flag in axis_flags if getattr(args, flag) is not None]
+    given = [flag for flag in args.axis_flags if getattr(args, flag) is not None]
     if len(given) > 1:
-        raise ConfigError(f"give only one of {', '.join('--' + f for f in axis_flags)}")
+        raise ConfigError(f"give only one of {', '.join('--' + f for f in args.axis_flags)}")
     if given:
         start, step, stop = parse_axis_spec(getattr(args, given[0]))
         overrides["axis"] = given[0]
         overrides["axis_start"] = start
         overrides["axis_step"] = step
         overrides["axis_stop"] = stop
-
-    valid = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return dataclasses.replace(SimConfig(), **overrides)
 
 
 def _cmd_sweep(args: argparse.Namespace, throughput: bool) -> int:
-    axis_flags = ("ebn0", "snr")
-    cfg = _config_from_args(args, axis_flags)
-    if throughput and cfg.axis != "snr":
-        cfg = dataclasses.replace(cfg, axis="snr")
+    cfg = _config_from_args(args)
     records = run_throughput(cfg) if throughput else run_ber(cfg)
     write_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     if args.plot:
         kind = "throughput" if throughput else "ber"
-        plot_records_svg(records, args.plot, kind=kind, bandwidth_hz=cfg.bandwidth_hz)
+        try:
+            plot_records_svg(records, args.plot, kind=kind, bandwidth_hz=cfg.bandwidth_hz)
+        except ValueError as exc:  # e.g. a BER plot of a sweep without bit errors
+            print(f"no plot written: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote plot to {args.plot}")
     return 0
 
 
-def _loopback_ok(scheme: str, sf_int: int, trials: int) -> bool:
+def _loopback_ok(scheme_name: str, sf_int: int, trials: int) -> bool:
+    scheme = SCHEMES[scheme_name]
     sf = SpreadingFactor(sf_int)
     n = sf.n
     mod = ModConfig(sf, float(n))
@@ -201,20 +172,16 @@ def _loopback_ok(scheme: str, sf_int: int, trials: int) -> bool:
         symbols = np.arange(n)
     else:
         symbols = rng.integers(0, n, size=trials)
-    if scheme == "iqcss":
-        partners = rng.integers(0, n, size=symbols.size)
-        for k_i, k_q in zip(symbols, partners):
-            pair = IqPair(int(k_i), int(k_q))
-            if iqcss_demodulate(iqcss_modulate(mod, pair), sf) != pair:
-                return False
-        return True
-    demod = lora_demod_noncoherent if scheme == "lora-noncoherent" else lora_demod_coherent
-    return all(demod(lora_modulate(mod, int(k)), sf) == int(k) for k in symbols)
+    partners = rng.integers(0, n, size=(symbols.size, scheme.streams - 1))
+    symbols = np.column_stack([symbols, partners])
+    return all(np.array_equal(scheme.detect(scheme.modulate(mod, k), sf), k) for k in symbols)
 
 
 def _cmd_loopback(args: argparse.Namespace) -> int:
     schemes = list(SCHEMES) if args.all or not args.scheme else [args.scheme]
     sfs = list(VALID_SF) if args.all or not args.sf else list(_parse_sf_list(args.sf))
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     failures = 0
     for scheme in schemes:
         for sf in sfs:
@@ -227,7 +194,13 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
 
 
 def _cmd_chirp(args: argparse.Namespace) -> int:
+    if args.sf not in VALID_SF:
+        raise ConfigError(f"spreading factor {args.sf} outside 6..12")
     sf = SpreadingFactor(args.sf)
+    if args.symbol is not None and not 0 <= args.symbol < sf.n:
+        raise ConfigError(f"symbol {args.symbol} outside 0..{sf.n - 1}")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if args.symbol is None:
         signal = raw_upchirp(sf)
     else:
@@ -261,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ber.set_defaults(func=lambda a: _cmd_sweep(a, throughput=False))
 
     thr = subs.add_parser("throughput", help="(1-SER)*rate sweep over SNR")
-    _add_sim_options(thr, axis_flags=("ebn0", "snr"))
+    _add_sim_options(thr, axis_flags=("snr",))
     thr.set_defaults(func=lambda a: _cmd_sweep(a, throughput=True))
 
     loop = subs.add_parser("loopback", help="noiseless modulate/demodulate self-test")
@@ -318,9 +291,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

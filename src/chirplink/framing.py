@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
-from .modem import ModConfig, lora_modulate_many, iqcss_modulate_many
+from .modem import ModConfig, get_scheme
 
 SYNC_UP = "sync-up"
 SYNC_DOWN = "sync-down"
@@ -75,9 +75,11 @@ def build_frame(
 ) -> Frame:
     """Assemble preamble + payload chirps, each with its cyclic prefix.
 
-    ``payload`` holds integers for ``scheme="lora"`` or (k_i, k_q) pairs for
-    ``scheme="iqcss"``; its length must equal ``cfg.payload_symbols``.
+    ``payload`` holds one integer per chirp for the single-stream schemes or
+    (k_i, k_q) pairs for ``"iqcss"``; its length must equal
+    ``cfg.payload_symbols``.  ``scheme`` is a :data:`~chirplink.modem.SCHEMES` name.
     """
+    scheme = get_scheme(scheme)
     if mod.sf != cfg.sf:
         raise ValueError("modulator and frame spreading factors differ")
     if len(payload) != cfg.payload_symbols:
@@ -86,12 +88,7 @@ def build_frame(
         )
     n = cfg.sf.n
     up = _upchirp_readonly(n)
-    if scheme == "lora":
-        data = lora_modulate_many(mod, payload)
-    elif scheme == "iqcss":
-        data = iqcss_modulate_many(mod, payload)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    data = scheme.modulate(mod, np.reshape(payload, (cfg.payload_symbols, scheme.streams)))
 
     chirps = np.empty((cfg.total_chirps, n), dtype=np.complex128)
     chirps[: cfg.n_sync_up] = up
@@ -115,17 +112,21 @@ def build_frame(
 def extract_regions(
     frame_rx: np.ndarray, cfg: FrameConfig
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Slice a received frame into (sync up-chirps, data chirps), prefixes dropped."""
+    """Slice a received frame into (sync up-chirps, data chirps), prefixes dropped.
+
+    ``frame_rx`` may be one frame ``(samples,)`` or a stack ``(..., samples)``
+    such as per-tap gains; every chirp keeps the leading axes.
+    """
     frame_rx = np.asarray(frame_rx)
-    if frame_rx.shape != (cfg.total_samples,):
+    if frame_rx.shape[-1:] != (cfg.total_samples,):
         raise ValueError(
-            f"frame has shape {frame_rx.shape}, layout expects ({cfg.total_samples},)"
+            f"frame has shape {frame_rx.shape}, layout expects (..., {cfg.total_samples})"
         )
     n, cp, step = cfg.sf.n, cfg.cp_len, cfg.samples_per_chirp
-    sync_up = [frame_rx[i * step + cp : i * step + cp + n] for i in range(cfg.n_sync_up)]
+    sync_up = [frame_rx[..., i * step + cp : i * step + cp + n] for i in range(cfg.n_sync_up)]
     first_data = cfg.n_sync_up + cfg.n_sync_down
     data = [
-        frame_rx[i * step + cp : i * step + cp + n]
+        frame_rx[..., i * step + cp : i * step + cp + n]
         for i in range(first_data, cfg.total_chirps)
     ]
     return sync_up, data

@@ -9,18 +9,22 @@ between batches, which keeps the set of simulated frames deterministic.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
 from .chirp import SpreadingFactor, VALID_SF, _upchirp_readonly
-from .modem import ModConfig
+from .modem import SCHEMES, ModConfig
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
 from .chanest import FlatEstimate, ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
 from .channel import (
+    ChannelRealization,
     DopplerSpec,
     TapProfile,
     apply_awgn,
@@ -34,22 +38,58 @@ from .channel import (
     urban_12tap_profile,
 )
 
-SCHEMES = ("lora-noncoherent", "lora-coherent", "iqcss")
-CHANNELS = (
-    "awgn",
-    "rayleigh-perfect",
-    "rayleigh-static-est",
-    "rayleigh-mobile-est",
-    "tvfs-perfect",
-    "tvfs-est",
-)
 AXES = ("ebn0", "snr")
 
 FRAMES_PER_BATCH = 32
 
+# Upper bound on the points of one axis sweep (per spreading factor).
+MAX_AXIS_POINTS = 1000
+
 
 class ConfigError(ValueError):
     """Invalid simulation configuration (reported before any simulation runs)."""
+
+
+@lru_cache(maxsize=8)
+def _resolve_profile(path: str | None) -> TapProfile:
+    return urban_12tap_profile() if path is None else load_tap_profile(path)
+
+
+def _block_static(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
+    return flat_rayleigh(n_samples, None, cfg.bandwidth_hz, rng, block_static=True)
+
+
+def _mobile(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
+    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
+    return flat_rayleigh(n_samples, doppler, cfg.bandwidth_hz, rng, block_static=False)
+
+
+def _multipath(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
+    profile = _resolve_profile(cfg.tap_profile)
+    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
+    return tvfs_realization(n_samples, profile, doppler, cfg.bandwidth_hz, rng)
+
+
+@dataclass(frozen=True)
+class Channel:
+    """How one channel name is simulated and how its receiver learns the channel."""
+
+    # Draws the fading realization from the frame's generator; None for AWGN only.
+    realize: Callable[[SimConfig, int, np.random.Generator], ChannelRealization] | None
+    # Equalize with the true response (genie CSI) instead of the preamble LS estimate.
+    genie: bool = False
+    # Multipath: needs a cyclic prefix covering the longest tap, equalized per DFT bin.
+    needs_cp: bool = False
+
+
+CHANNELS = {
+    "awgn": Channel(None),
+    "rayleigh-perfect": Channel(_block_static, genie=True),
+    "rayleigh-static-est": Channel(_block_static),
+    "rayleigh-mobile-est": Channel(_mobile),
+    "tvfs-perfect": Channel(_multipath, genie=True, needs_cp=True),
+    "tvfs-est": Channel(_multipath, needs_cp=True),
+}
 
 
 @dataclass(frozen=True)
@@ -79,20 +119,22 @@ class SimConfig:
     def resolved_cp_len(self) -> int:
         if self.cp_len is not None:
             return self.cp_len
-        return 16 if self.channel.startswith("tvfs") else 0
+        return 16 if CHANNELS[self.channel].needs_cp else 0
 
     def symbol_energy(self, sf: int) -> float:
         return float(self.es) if self.es is not None else float(1 << sf)
 
+    def _axis_count(self) -> int:
+        return int(np.floor((self.axis_stop - self.axis_start) / self.axis_step + 1e-9)) + 1
+
     def axis_points(self) -> list[float]:
-        count = int(np.floor((self.axis_stop - self.axis_start) / self.axis_step + 1e-9)) + 1
-        return [self.axis_start + i * self.axis_step for i in range(count)]
+        return [self.axis_start + i * self.axis_step for i in range(self._axis_count())]
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {tuple(SCHEMES)}")
         if self.channel not in CHANNELS:
-            raise ConfigError(f"unknown channel {self.channel!r}; choose from {CHANNELS}")
+            raise ConfigError(f"unknown channel {self.channel!r}; choose from {tuple(CHANNELS)}")
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.sf_list:
@@ -100,10 +142,18 @@ class SimConfig:
         for sf in self.sf_list:
             if sf not in VALID_SF:
                 raise ConfigError(f"spreading factor {sf} outside 6..12")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.axis_step <= 0:
             raise ConfigError("axis step must be positive")
         if self.axis_stop < self.axis_start:
             raise ConfigError("axis stop must be >= axis start")
+        if self._axis_count() > MAX_AXIS_POINTS:
+            raise ConfigError(
+                f"axis sweep has {self._axis_count()} points; at most {MAX_AXIS_POINTS} allowed"
+            )
         if self.max_frames < 1 or self.min_bit_errors < 1 or self.payload_symbols < 1:
             raise ConfigError("max_frames, min_bit_errors and payload_symbols must be >= 1")
         if self.workers < 1:
@@ -118,8 +168,11 @@ class SimConfig:
         min_n = 1 << min(self.sf_list)
         if not 0 <= cp < min_n:
             raise ConfigError(f"cp_len {cp} must be in [0, {min_n}) for sf_list {self.sf_list}")
-        if self.channel.startswith("tvfs"):
-            profile = _resolve_profile(self.tap_profile)
+        if CHANNELS[self.channel].needs_cp:
+            try:
+                profile = _resolve_profile(self.tap_profile)
+            except ValueError as exc:
+                raise ConfigError(f"bad tap profile: {exc}") from exc
             max_delay = int(profile.sample_delays(self.bandwidth_hz).max())
             if cp < max_delay:
                 raise ConfigError(
@@ -173,11 +226,6 @@ def symbol_rate_bps(sf: int, scheme: str, bandwidth_hz: float) -> float:
     return bits_per_symbol(sf, scheme) * bandwidth_hz / (1 << sf)
 
 
-@lru_cache(maxsize=8)
-def _resolve_profile(path: str | None) -> TapProfile:
-    return urban_12tap_profile() if path is None else load_tap_profile(path)
-
-
 def _popcount(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.uint16)
     if hasattr(np, "bitwise_count"):
@@ -186,35 +234,48 @@ def _popcount(values: np.ndarray) -> np.ndarray:
 
 
 def _frame_rng(cfg: SimConfig, sf: int, point_idx: int, frame_idx: int) -> np.random.Generator:
-    key = [cfg.seed, SCHEMES.index(cfg.scheme), sf, point_idx, frame_idx]
+    key = [cfg.seed, list(SCHEMES).index(cfg.scheme), sf, point_idx, frame_idx]
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _sync_body_indices(fcfg: FrameConfig) -> np.ndarray:
-    step, cp, n = fcfg.samples_per_chirp, fcfg.cp_len, fcfg.sf.n
-    return np.concatenate(
-        [np.arange(i * step + cp, i * step + cp + n) for i in range(fcfg.n_sync_up)]
-    )
+def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
+    """True impulse response averaged over the preamble chirp bodies (colliding taps add).
 
-
-def _genie_impulse(realization, fcfg: FrameConfig) -> np.ndarray:
-    """True impulse response averaged over the preamble window (collisions add)."""
-    idx = _sync_body_indices(fcfg)
-    means = realization.gains[:, idx].mean(axis=1)
+    Both genie channels use it: ``rayleigh-perfect`` takes tap 0 as its flat
+    gain, and ``tvfs-perfect`` equalizes every data chirp with the whole
+    response.  Under Doppler that is the preamble average, not the response
+    each data chirp actually sees.
+    """
+    sync_up, _ = extract_regions(realization.gains, fcfg)
+    means = np.concatenate(sync_up, axis=-1).mean(axis=-1)
     h = np.zeros(fcfg.sf.n, dtype=np.complex128)
     for d, g in zip(realization.delays, means):
         h[int(d)] += g
     return h
 
 
-def _detect_batch(data_mat: np.ndarray, sf: SpreadingFactor, scheme: str):
-    """Vectorized detector over a (chirps, N) block; matches the 1-D demodulators."""
-    spectra = np.fft.fft(data_mat * np.conj(_upchirp_readonly(sf.n))[None, :], axis=1)
-    if scheme == "lora-noncoherent":
-        return np.argmax(np.abs(spectra), axis=1)
-    if scheme == "lora-coherent":
-        return np.argmax(spectra.real, axis=1)
-    return np.argmax(spectra.real, axis=1), np.argmax(spectra.imag, axis=1)
+def _equalize(
+    channel: Channel,
+    cfg: SimConfig,
+    fcfg: FrameConfig,
+    realization: ChannelRealization,
+    sync_up: list[np.ndarray],
+    data: np.ndarray,
+) -> np.ndarray:
+    if channel.needs_cp:
+        if channel.genie:
+            est = ImpulseEstimate(_genie_response(realization, fcfg))
+        else:
+            est = ls_selective(average_sync(sync_up), fcfg.sf)
+            if cfg.truncate_est and fcfg.cp_len > 0:
+                est = est.truncated(fcfg.cp_len)
+        return equalize_fd(data, est)
+    if channel.genie:
+        est = FlatEstimate(complex(_genie_response(realization, fcfg)[0]))
+    else:
+        ref = np.tile(_upchirp_readonly(fcfg.sf.n), fcfg.n_sync_up)
+        est = ls_flat(np.concatenate(sync_up), ref)
+    return equalize_flat(data, est)
 
 
 def _sim_frame(
@@ -222,76 +283,30 @@ def _sim_frame(
 ) -> tuple[int, int, int, int]:
     """Simulate one frame; returns (bits_sent, bit_errors, symbols_sent, symbol_errors)."""
     sf = SpreadingFactor(sf_int)
-    n = sf.n
+    scheme = SCHEMES[cfg.scheme]
+    channel = CHANNELS[cfg.channel]
     rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
     mod = ModConfig(sf, cfg.symbol_energy(sf_int))
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cfg.resolved_cp_len())
-    iq = cfg.scheme == "iqcss"
 
-    if iq:
-        tx = rng.integers(0, n, size=(cfg.payload_symbols, 2))
-    else:
-        tx = rng.integers(0, n, size=cfg.payload_symbols)
-    frame = build_frame(fcfg, tx, mod, "iqcss" if iq else "lora")
-
+    # Draw order is part of the stream layout: tx symbols, fading phases, noise.
+    tx = rng.integers(0, sf.n, size=(cfg.payload_symbols, scheme.streams))
+    frame = build_frame(fcfg, tx, mod, cfg.scheme)
+    y = frame.signal
     realization = None
-    if cfg.channel == "awgn":
-        y = frame.signal
-    elif cfg.channel.startswith("rayleigh"):
-        mobile = cfg.channel == "rayleigh-mobile-est"
-        doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz) if mobile else None
-        realization = flat_rayleigh(
-            frame.signal.size, doppler, cfg.bandwidth_hz, rng, block_static=not mobile
-        )
-        y = apply_channel(frame.signal, realization)
-    else:
-        profile = _resolve_profile(cfg.tap_profile)
-        doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
-        realization = tvfs_realization(
-            frame.signal.size, profile, doppler, cfg.bandwidth_hz, rng
-        )
-        y = apply_channel(frame.signal, realization)
-
+    if channel.realize is not None:
+        realization = channel.realize(cfg, y.size, rng)
+        y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     data_mat = np.asarray(data)
+    if scheme.coherent and realization is not None:
+        data_mat = _equalize(channel, cfg, fcfg, realization, sync_up, data_mat)
 
-    if cfg.scheme != "lora-noncoherent" and cfg.channel != "awgn":
-        if cfg.channel.startswith("rayleigh"):
-            if cfg.channel == "rayleigh-perfect":
-                est = FlatEstimate(complex(realization.gains[0, _sync_body_indices(fcfg)].mean()))
-            else:
-                ref = np.tile(_upchirp_readonly(n), fcfg.n_sync_up)
-                est = ls_flat(np.concatenate(sync_up), ref)
-            data_mat = equalize_flat(data_mat, est)
-        else:
-            if cfg.channel == "tvfs-perfect":
-                est = ImpulseEstimate(_genie_impulse(realization, fcfg))
-            else:
-                est = ls_selective(average_sync(sync_up), sf)
-                if cfg.truncate_est and fcfg.cp_len > 0:
-                    est = est.truncated(fcfg.cp_len)
-            data_mat = equalize_fd(data_mat, est)
-
-    if iq:
-        rx_i, rx_q = _detect_batch(data_mat, sf, cfg.scheme)
-        symbol_errors = int((tx[:, 0] != rx_i).sum() + (tx[:, 1] != rx_q).sum())
-        bit_errors = int(
-            _popcount(np.bitwise_xor(tx[:, 0], rx_i)).sum()
-            + _popcount(np.bitwise_xor(tx[:, 1], rx_q)).sum()
-        )
-        symbols = 2 * cfg.payload_symbols
-    else:
-        rx = _detect_batch(data_mat, sf, cfg.scheme)
-        symbol_errors = int((tx != rx).sum())
-        bit_errors = int(_popcount(np.bitwise_xor(tx, rx)).sum())
-        symbols = cfg.payload_symbols
-    bits = symbols * sf_int
-    return bits, bit_errors, symbols, symbol_errors
-
-
-def _sim_frame_star(args) -> tuple[int, int, int, int]:
-    return _sim_frame(*args)
+    rx = scheme.detect(data_mat, sf)
+    symbol_errors = int((tx != rx).sum())
+    bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
+    return tx.size * sf_int, bit_errors, tx.size, symbol_errors
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
@@ -303,13 +318,13 @@ def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
 
 def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) -> SimRecord:
     sigma2 = _point_sigma2(cfg, sf, axis_db)
+    sim = partial(_sim_frame, cfg, sf, sigma2, point_idx)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0
     done = 0
     while done < cfg.max_frames and bit_errors < cfg.min_bit_errors:
         hi = min(done + FRAMES_PER_BATCH, cfg.max_frames)
-        args = [(cfg, sf, sigma2, point_idx, i) for i in range(done, hi)]
-        results = pool.map(_sim_frame_star, args) if pool else map(_sim_frame_star, args)
+        results = (pool.map if pool else map)(sim, range(done, hi))
         for b, be, s, se in results:
             bits += b
             bit_errors += be
@@ -338,17 +353,13 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
 def _run(cfg: SimConfig) -> list[SimRecord]:
     cfg.validate()
     points = cfg.axis_points()
-    records: list[SimRecord] = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for sf in cfg.sf_list:
-                for idx, db in enumerate(points):
-                    records.append(_run_point(cfg, sf, idx, db, pool))
-    else:
-        for sf in cfg.sf_list:
-            for idx, db in enumerate(points):
-                records.append(_run_point(cfg, sf, idx, db, None))
-    return records
+    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    with pool or contextlib.nullcontext():
+        return [
+            _run_point(cfg, sf, idx, db, pool)
+            for sf in cfg.sf_list
+            for idx, db in enumerate(points)
+        ]
 
 
 def run_ber(cfg: SimConfig) -> list[SimRecord]:

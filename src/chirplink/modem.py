@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,28 +89,85 @@ def _unit_tones(n: int) -> np.ndarray:
     return roots
 
 
-def _tone(k: int, n: int) -> np.ndarray:
-    # exp(2j*pi*k*n'/N) via exact N-th root-of-unity lookup
-    return _unit_tones(n)[(k * np.arange(n)) % n]
+def _one_stream(tones: np.ndarray) -> np.ndarray:
+    return tones[..., 0, :]
+
+
+def _iq_streams(tones: np.ndarray) -> np.ndarray:
+    return tones[..., 0, :] + 1j * tones[..., 1, :]
+
+
+def _argmax_abs(spectra: np.ndarray) -> np.ndarray:
+    return np.argmax(np.abs(spectra), axis=-1)[..., None]
+
+
+def _argmax_real(spectra: np.ndarray) -> np.ndarray:
+    return np.argmax(spectra.real, axis=-1)[..., None]
+
+
+def _argmax_real_imag(spectra: np.ndarray) -> np.ndarray:
+    return np.stack(
+        [np.argmax(spectra.real, axis=-1), np.argmax(spectra.imag, axis=-1)], axis=-1
+    )
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One signalling scheme: how symbols become a chirp and how they are decided.
+
+    Symbols are integer arrays of shape ``(..., streams)``; chirps are
+    ``(..., N)``.  Every scheme shares the receiver front end (despread, then
+    DFT) and differs only in its decision rule on the despread spectrum.
+    """
+
+    streams: int  # data symbols per chirp
+    coherent: bool  # needs the channel phase removed before detection
+    combine: Callable[[np.ndarray], np.ndarray]  # unit tones (..., streams, N) -> (..., N)
+    decide: Callable[[np.ndarray], np.ndarray]  # spectra (..., N) -> symbols (..., streams)
+
+    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
+        n = cfg.sf.n
+        ks = np.asarray(symbols, dtype=np.int64)
+        if ks.shape[-1:] != (self.streams,):
+            raise ValueError(f"expected {self.streams} symbol(s) per chirp, got shape {ks.shape}")
+        if ks.size and (ks.min() < 0 or ks.max() >= n):
+            raise ValueError(f"symbol outside 0..{n - 1}")
+        amp = np.sqrt(cfg.symbol_energy / (self.streams * n))
+        tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
+        return amp * self.combine(tones) * _upchirp_readonly(n)
+
+    def detect(self, rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
+        """Decide the symbols (..., streams) carried by chirps ``rx`` (..., N)."""
+        return self.decide(dft(despread(rx, sf)))
+
+
+SCHEMES = {
+    "lora-noncoherent": Scheme(1, False, _one_stream, _argmax_abs),
+    "lora-coherent": Scheme(1, True, _one_stream, _argmax_real),
+    "iqcss": Scheme(2, True, _iq_streams, _argmax_real_imag),
+}
+
+
+def get_scheme(name: str) -> Scheme:
+    """The :data:`SCHEMES` entry for ``name``; ``ValueError`` if there is none."""
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme {name!r}; choose from {tuple(SCHEMES)}") from None
+
+
+def _one_chirp(rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
+    sf = as_spreading_factor(sf)
+    rx = np.asarray(rx)
+    if rx.shape != (sf.n,):
+        raise ValueError(f"expected one chirp of {sf.n} samples, got shape {rx.shape}")
+    return rx
 
 
 def lora_modulate(cfg: ModConfig, k: int) -> np.ndarray:
     """Chirp-FSK waveform: tone at bin ``k`` spread by the up-chirp, energy Es."""
-    n = cfg.sf.n
-    k = _check_symbol(k, n)
-    amp = np.sqrt(cfg.symbol_energy / n)
-    return amp * _tone(k, n) * _upchirp_readonly(n)
-
-
-def lora_modulate_many(cfg: ModConfig, symbols: Sequence[int]) -> np.ndarray:
-    """Row-per-symbol batch of :func:`lora_modulate` outputs, shape (len, N)."""
-    n = cfg.sf.n
-    ks = np.asarray(symbols, dtype=np.int64)
-    if ks.size and (ks.min() < 0 or ks.max() >= n):
-        raise ValueError("symbol outside alphabet")
-    amp = np.sqrt(cfg.symbol_energy / n)
-    tones = _unit_tones(n)[(ks[:, None] * np.arange(n)[None, :]) % n]
-    return amp * tones * _upchirp_readonly(n)[None, :]
+    return SCHEMES["lora-noncoherent"].modulate(cfg, [k])
 
 
 def iqcss_modulate(cfg: ModConfig, pair: IqPair | Sequence[int]) -> np.ndarray:
@@ -119,51 +176,20 @@ def iqcss_modulate(cfg: ModConfig, pair: IqPair | Sequence[int]) -> np.ndarray:
     Per-symbol energy equals ``symbol_energy`` for every pair, including the
     degenerate ``k_i == k_q`` case where the envelope is flat at ``sqrt(2)``.
     """
-    n = cfg.sf.n
-    k_i, k_q = pair
-    k_i = _check_symbol(k_i, n)
-    k_q = _check_symbol(k_q, n)
-    amp = np.sqrt(cfg.symbol_energy / (2 * n))
-    mix = _tone(k_i, n) + 1j * _tone(k_q, n)
-    return amp * mix * _upchirp_readonly(n)
-
-
-def iqcss_modulate_many(cfg: ModConfig, pairs: Sequence[IqPair]) -> np.ndarray:
-    """Row-per-pair batch of :func:`iqcss_modulate` outputs, shape (len, N)."""
-    n = cfg.sf.n
-    arr = np.asarray([(p[0], p[1]) for p in pairs], dtype=np.int64).reshape(-1, 2)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError("symbol outside alphabet")
-    amp = np.sqrt(cfg.symbol_energy / (2 * n))
-    grid = np.arange(n)[None, :]
-    tones_i = _unit_tones(n)[(arr[:, 0:1] * grid) % n]
-    tones_q = _unit_tones(n)[(arr[:, 1:2] * grid) % n]
-    return amp * (tones_i + 1j * tones_q) * _upchirp_readonly(n)[None, :]
-
-
-def _despread_spectrum(rx: np.ndarray, sf: SpreadingFactor) -> np.ndarray:
-    rx = np.asarray(rx)
-    if rx.shape != (sf.n,):
-        raise ValueError(f"expected one chirp of {sf.n} samples, got shape {rx.shape}")
-    return dft(despread(rx, sf))
+    return SCHEMES["iqcss"].modulate(cfg, pair)
 
 
 def lora_demod_noncoherent(rx: np.ndarray, sf: int | SpreadingFactor) -> int:
     """Pick the despread-spectrum bin of largest magnitude (phase-blind)."""
-    sf = as_spreading_factor(sf)
-    spectrum = _despread_spectrum(rx, sf)
-    return int(np.argmax(np.abs(spectrum)))
+    return int(SCHEMES["lora-noncoherent"].detect(_one_chirp(rx, sf), sf)[0])
 
 
 def lora_demod_coherent(rx_equalized: np.ndarray, sf: int | SpreadingFactor) -> int:
     """Pick the bin of largest real part; assumes channel phase already removed."""
-    sf = as_spreading_factor(sf)
-    spectrum = _despread_spectrum(rx_equalized, sf)
-    return int(np.argmax(spectrum.real))
+    return int(SCHEMES["lora-coherent"].detect(_one_chirp(rx_equalized, sf), sf)[0])
 
 
 def iqcss_demodulate(rx_equalized: np.ndarray, sf: int | SpreadingFactor) -> IqPair:
     """Detect the in-phase symbol from Re and the quadrature symbol from Im."""
-    sf = as_spreading_factor(sf)
-    spectrum = _despread_spectrum(rx_equalized, sf)
-    return IqPair(int(np.argmax(spectrum.real)), int(np.argmax(spectrum.imag)))
+    k_i, k_q = SCHEMES["iqcss"].detect(_one_chirp(rx_equalized, sf), sf)
+    return IqPair(int(k_i), int(k_q))

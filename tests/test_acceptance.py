@@ -13,7 +13,6 @@ from chirplink.chirp import SpreadingFactor, raw_upchirp
 from chirplink.framing import FrameConfig, build_frame, extract_regions
 from chirplink.harness import (
     SimConfig,
-    _detect_batch,
     _popcount,
     records_to_csv,
     run_ber,
@@ -22,6 +21,7 @@ from chirplink.harness import (
     symbol_rate_bps,
 )
 from chirplink.modem import (
+    SCHEMES,
     IqPair,
     ModConfig,
     iqcss_demodulate,
@@ -281,7 +281,7 @@ def _paired_rayleigh_ber(ebn0_db: float, n_frames: int, seed: int) -> tuple[floa
         h_est = ls_flat(np.concatenate(sync_up), ref).gain
         for h_used, which in ((h, "genie"), (h_est, "est")):
             eq = data_mat * (np.conj(h_used) / abs(h_used) ** 2)
-            rx_i, rx_q = _detect_batch(eq, sf, "iqcss")
+            rx_i, rx_q = SCHEMES["iqcss"].detect(eq, sf).T
             wrong = int(
                 _popcount(np.bitwise_xor(tx[:, 0], rx_i)).sum()
                 + _popcount(np.bitwise_xor(tx[:, 1], rx_q)).sum()

@@ -52,6 +52,15 @@ class TestNoiseBookkeeping:
         assert bits_per_symbol(7, "lora-coherent") == 7
         assert bits_per_symbol(7, "iqcss") == 14
 
+    @pytest.mark.parametrize("scheme", ["bogus", "iqcss-x", "lora"])
+    def test_unknown_scheme_rejected(self, scheme):
+        with pytest.raises(ValueError):
+            bits_per_symbol(7, scheme)
+        with pytest.raises(ValueError):
+            ebn0_db_to_snr_db(5.0, 7, scheme)
+        with pytest.raises(ValueError):
+            ebn0_to_sigma2(5.0, 7, scheme, 128.0)
+
     def test_sigma2_consistency(self):
         es = 128.0
         spec = ebn0_to_sigma2(4.0, 7, "lora-coherent", es)

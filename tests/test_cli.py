@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from chirplink import cli
 from chirplink.cli import cli_main, parse_axis_spec, read_config_file
 from chirplink.harness import CSV_COLUMNS, ConfigError
 
@@ -131,6 +132,35 @@ class TestBerCommand:
             == 2
         )
 
+    def test_bad_inputs_exit_2(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("cp_len = abc\n")
+        out = str(tmp_path / "r.csv")
+        assert run_cli("ber", "--config", str(cfg), "--out", out) == 2
+        assert run_cli("ber", "--ebn0", "nan:1:2", "--out", out) == 2
+        assert run_cli("ber", "--ebn0", "0:1e-7:12", "--out", out) == 2
+        assert run_cli("chirp", "--sf", "20", "--out", out) == 2
+        assert run_cli("chirp", "--sf", "7", "-k", "128", "--out", out) == 2
+        assert run_cli("chirp", "--sf", "7", "--seed", "-1", "--out", out) == 2
+        assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unplottable_sweep_exits_1_after_writing_csv(self, tmp_path):
+        # no bit errors at 30 dB, so the BER plot has no point to draw
+        out = tmp_path / "r.csv"
+        svg = tmp_path / "r.svg"
+        args = ("ber", "--ebn0", "30", "--max-frames", "2", "--out", str(out), "--plot", str(svg))
+        assert run_cli(*args) == 1
+        assert out.exists() and not svg.exists()
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("bug mid-sweep")
+
+        monkeypatch.setattr(cli, "run_ber", broken)
+        with pytest.raises(ValueError, match="bug mid-sweep"):
+            run_cli("ber", "--ebn0", "0", "--out", str(tmp_path / "r.csv"))
+
     def test_unknown_flag_exits_2(self):
         assert run_cli("ber", "--frobnicate") == 2
 
@@ -158,6 +188,29 @@ class TestThroughputCommand:
         )
         rows = out.read_text().strip().split("\n")[1:]
         assert all(row.split(",")[CSV_COLUMNS.index("axis")] == "snr" for row in rows)
+
+
+    @pytest.mark.parametrize(
+        "args,config",
+        [
+            (("--ebn0", "10"), None),
+            ((), None),
+            ((), "axis = ebn0\naxis_start = 10\naxis_stop = 10\n"),
+        ],
+    )
+    def test_ebn0_axis_exits_2(self, tmp_path, monkeypatch, args, config):
+        def must_not_run(cfg):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("chirplink.harness._run", must_not_run)
+        extra = ()
+        if config is not None:
+            path = tmp_path / "sim.cfg"
+            path.write_text(config)
+            extra = ("--config", str(path))
+        out = tmp_path / "thr.csv"
+        assert run_cli("throughput", *args, *extra, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestLoopbackCommand:

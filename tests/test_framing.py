@@ -19,12 +19,12 @@ from oracles import circular_convolve
 SF7 = SpreadingFactor(7)
 
 
-def make_frame(cp_len=0, scheme="lora", payload=None, es=128.0):
+def make_frame(cp_len=0, scheme="lora-noncoherent", payload=None, es=128.0):
     cfg = FrameConfig(sf=SF7, cp_len=cp_len)
     mod = ModConfig(SF7, es)
     if payload is None:
         rng = np.random.default_rng(11)
-        if scheme == "lora":
+        if scheme == "lora-noncoherent":
             payload = rng.integers(0, 128, size=cfg.payload_symbols)
         else:
             payload = rng.integers(0, 128, size=(cfg.payload_symbols, 2))
@@ -72,7 +72,7 @@ def test_sync_chirps_are_unit_amplitude_raw_chirps():
 
 
 @pytest.mark.parametrize("cp_len", [0, 16])
-@pytest.mark.parametrize("scheme", ["lora", "iqcss"])
+@pytest.mark.parametrize("scheme", ["lora-noncoherent", "iqcss"])
 def test_build_then_extract_is_identity(cp_len, scheme):
     cfg, frame = make_frame(cp_len=cp_len, scheme=scheme)
     sync_up, data = extract_regions(frame.signal, cfg)
@@ -101,6 +101,16 @@ def test_prefix_turns_multipath_into_circular_convolution():
         assert_allclose(rx, circular_convolve(tx, taps), atol=1e-12)
 
 
+def test_extract_slices_stacked_frames_row_by_row():
+    cfg, frame = make_frame(cp_len=16)
+    stack = np.stack([frame.signal, 2j * frame.signal])
+    sync_up, data = extract_regions(stack, cfg)
+    for row in range(2):
+        sync_row, data_row = extract_regions(stack[row], cfg)
+        for a, b in zip(sync_up + data, sync_row + data_row):
+            assert_array_equal(a[row], b)
+
+
 def test_extract_rejects_wrong_length():
     cfg, frame = make_frame(cp_len=16)
     with pytest.raises(ValueError):
@@ -111,7 +121,7 @@ def test_build_rejects_wrong_payload_length():
     cfg = FrameConfig(sf=SF7)
     mod = ModConfig(SF7, 128.0)
     with pytest.raises(ValueError):
-        build_frame(cfg, np.zeros(19, dtype=int), mod, "lora")
+        build_frame(cfg, np.zeros(19, dtype=int), mod, "lora-noncoherent")
 
 
 def test_build_rejects_unknown_scheme():
@@ -119,6 +129,8 @@ def test_build_rejects_unknown_scheme():
     mod = ModConfig(SF7, 128.0)
     with pytest.raises(ValueError):
         build_frame(cfg, np.zeros(20, dtype=int), mod, "fsk")
+    with pytest.raises(ValueError):
+        build_frame(cfg, np.zeros(20, dtype=int), mod, "lora")
 
 
 def test_config_rejects_prefix_longer_than_chirp():

@@ -42,6 +42,27 @@ class TestConfigValidation:
         cfg = tiny_cfg(axis_start=0.0, axis_step=0.5, axis_stop=14.0)
         assert len(cfg.axis_points()) == 29
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            dict(axis_start=float("nan")),
+            dict(axis_step=float("inf")),
+            dict(axis_stop=float("inf")),
+            dict(axis_stop=float("nan")),
+            dict(es=float("nan")),
+            dict(speed_kmh=float("inf")),
+        ],
+    )
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ConfigError, match="finite"):
+            tiny_cfg(**values).validate()
+
+    def test_axis_point_count_bounded_before_allocation(self):
+        # 1.2e8 points: rejected from the count alone, no list is built
+        with pytest.raises(ConfigError, match="points"):
+            tiny_cfg(axis_start=0.0, axis_step=1e-7, axis_stop=12.0).validate()
+        tiny_cfg(axis_start=0.0, axis_step=0.012, axis_stop=11.988).validate()
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             tiny_cfg(scheme="qam").validate()

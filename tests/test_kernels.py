@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from chirplink import _kernels
@@ -18,7 +17,7 @@ def _sample_inputs(n=4096, taps=12, seed=0):
 
 def test_numpy_jakes_normalization():
     omegas, phases, *_ = _sample_inputs()
-    trace = _kernels.jakes_trace_numpy(omegas, phases, 4e-6, 1000)
+    trace = _kernels.jakes_trace(omegas, phases, 4e-6, 1000)
     assert trace.shape == (1000,)
     assert np.all(np.isfinite(trace))
     assert_allclose(trace[0], np.exp(1j * phases).sum() / 8.0, rtol=1e-12)
@@ -27,36 +26,5 @@ def test_numpy_jakes_normalization():
 def test_numpy_tdl_zero_delay_passthrough():
     _, _, x, _, _ = _sample_inputs(n=100)
     gains = np.ones((1, 100), dtype=complex)
-    out = _kernels.tdl_apply_numpy(x, np.zeros(1, dtype=np.int64), gains)
+    out = _kernels.tdl_apply(x, np.zeros(1, dtype=np.int64), gains)
     assert_allclose(out, x, atol=1e-15)
-
-
-@pytest.mark.skipif(_kernels.jakes_trace_numba is None, reason="numba backend disabled")
-def test_jakes_backends_agree():
-    omegas, phases, *_ = _sample_inputs()
-    a = _kernels.jakes_trace_numpy(omegas, phases, 4e-6, 2048)
-    b = _kernels.jakes_trace_numba(omegas, phases, 4e-6, 2048)
-    assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(_kernels.tdl_apply_numba is None, reason="numba backend disabled")
-def test_tdl_backends_agree():
-    _, _, x, delays, gains = _sample_inputs()
-    a = _kernels.tdl_apply_numpy(x, delays, gains)
-    b = _kernels.tdl_apply_numba(x, delays, gains)
-    assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend(tmp_path):
-    import subprocess
-    import sys
-
-    code = "import chirplink; print(chirplink.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "CHIRPLINK_NUMBA": "0"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"

@@ -4,19 +4,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from chirplink.chirp import SpreadingFactor, despread, dft, raw_upchirp
 from chirplink.channel import apply_awgn, ebn0_to_sigma2
-from chirplink.harness import _detect_batch
 from chirplink.modem import (
+    SCHEMES,
     IqPair,
     ModConfig,
     bits_to_pair,
     bits_to_symbol,
     iqcss_demodulate,
     iqcss_modulate,
-    iqcss_modulate_many,
     lora_demod_coherent,
     lora_demod_noncoherent,
     lora_modulate,
-    lora_modulate_many,
     pair_to_bits,
     symbol_to_bits,
 )
@@ -87,7 +85,7 @@ class TestLoraModulate:
     def test_batch_matches_single(self):
         cfg = mod7(es=3.0)
         ks = [0, 5, 100, 127]
-        batch = lora_modulate_many(cfg, ks)
+        batch = SCHEMES["lora-noncoherent"].modulate(cfg, np.reshape(ks, (-1, 1)))
         for row, k in zip(batch, ks):
             assert_array_equal(row, lora_modulate(cfg, k))
 
@@ -135,10 +133,10 @@ class TestCoherentDetection:
         cfg = mod7(es=128.0)
         sigma2 = ebn0_to_sigma2(1.0, 7, "lora-coherent", cfg.symbol_energy).variance
         tx = rng.integers(0, 128, size=n_symbols)
-        clean = lora_modulate_many(cfg, tx)
+        clean = SCHEMES["lora-coherent"].modulate(cfg, tx[:, None])
         noisy = apply_awgn(clean.ravel(), sigma2, rng).reshape(clean.shape)
-        rx_coh = _detect_batch(noisy, SF7, "lora-coherent")
-        rx_non = _detect_batch(noisy, SF7, "lora-noncoherent")
+        (rx_coh,) = SCHEMES["lora-coherent"].detect(noisy, SF7).T
+        (rx_non,) = SCHEMES["lora-noncoherent"].detect(noisy, SF7).T
         ser_coh = np.mean(tx != rx_coh)
         ser_non = np.mean(tx != rx_non)
         assert ser_coh < ser_non
@@ -180,8 +178,8 @@ class TestIqcss:
         cfg = mod7()
         rng = np.random.default_rng(7)
         draws = rng.integers(0, 128, size=(10_000, 2))
-        batch = iqcss_modulate_many(cfg, draws)
-        rx_i, rx_q = _detect_batch(batch, SF7, "iqcss")
+        batch = SCHEMES["iqcss"].modulate(cfg, draws)
+        rx_i, rx_q = SCHEMES["iqcss"].detect(batch, SF7).T
         assert_array_equal(rx_i, draws[:, 0])
         assert_array_equal(rx_q, draws[:, 1])
 
@@ -206,7 +204,7 @@ class TestIqcss:
     def test_batch_matches_single(self):
         cfg = mod7(es=2.0)
         pairs = [IqPair(0, 0), IqPair(1, 100), IqPair(127, 3)]
-        batch = iqcss_modulate_many(cfg, pairs)
+        batch = SCHEMES["iqcss"].modulate(cfg, pairs)
         for row, pair in zip(batch, pairs):
             assert_array_equal(row, iqcss_modulate(cfg, pair))
 
@@ -231,10 +229,11 @@ def test_detect_batch_matches_single_symbol_demodulators():
     rng = np.random.default_rng(99)
     cfg = mod7()
     tx = rng.integers(0, 128, size=32)
-    noisy = apply_awgn(lora_modulate_many(cfg, tx).ravel(), 5.0, rng).reshape(32, 128)
-    got_non = _detect_batch(noisy, SF7, "lora-noncoherent")
-    got_coh = _detect_batch(noisy, SF7, "lora-coherent")
-    got_i, got_q = _detect_batch(noisy, SF7, "iqcss")
+    clean = SCHEMES["lora-noncoherent"].modulate(cfg, tx[:, None])
+    noisy = apply_awgn(clean.ravel(), 5.0, rng).reshape(32, 128)
+    (got_non,) = SCHEMES["lora-noncoherent"].detect(noisy, SF7).T
+    (got_coh,) = SCHEMES["lora-coherent"].detect(noisy, SF7).T
+    got_i, got_q = SCHEMES["iqcss"].detect(noisy, SF7).T
     for row, a, b, c, d in zip(noisy, got_non, got_coh, got_i, got_q):
         assert lora_demod_noncoherent(row, 7) == a
         assert lora_demod_coherent(row, 7) == b
