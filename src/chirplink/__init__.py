@@ -37,7 +37,6 @@ from .channel import (
     TapProfile,
     apply_awgn,
     apply_channel,
-    apply_tvfs,
     bits_per_symbol,
     ebn0_db_to_snr_db,
     ebn0_to_sigma2,

@@ -1,5 +1,5 @@
-"""Channel models (AWGN, flat Rayleigh, multipath tapped delay line) and
-SNR/Eb-N0 bookkeeping.
+"""Channel models (AWGN and one fading tapped delay line) and SNR/Eb-N0
+bookkeeping.
 
 Noise level conventions, with ``es`` the energy per chirp symbol and
 ``n = 2**sf`` samples per chirp:
@@ -9,15 +9,17 @@ Noise level conventions, with ``es`` the energy per chirp symbol and
 * energy per bit: ``ebn0 = snr * n / bits_per_symbol`` where a chirp carries
   ``sf`` bits (single-stream schemes) or ``2*sf`` bits (I/Q scheme).
 
-Fading is synthesised with a sum-of-sinusoids generator: equally spaced
-arrival angles, independent uniform phases per tap, classical Doppler
-spectrum of maximum frequency ``v * fc / c``.
+There is one fading model, the multipath tapped delay line of
+:func:`tvfs_realization`.  Flat Rayleigh fading is its one-tap profile and a
+fade frozen over the frame is its zero-Doppler case.  Each physical tap is a
+sum-of-sinusoids process: equally spaced arrival angles, independent uniform
+phases per tap, classical Doppler spectrum of maximum frequency ``v * fc / c``.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +32,10 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 # approaches Rayleigh as K grows; 64 keeps the empirical distribution within
 # Kolmogorov-Smirnov tolerance at the sample sizes used for validation.
 JAKES_SINUSOIDS = 64
+
+# Cosines of the equally spaced arrival angles: the Doppler grid, in units of
+# the maximum Doppler frequency, shared by every tap.
+_ARRIVAL_COS = np.cos(2.0 * np.pi * (np.arange(JAKES_SINUSOIDS) + 0.5) / JAKES_SINUSOIDS)
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ class TapProfile:
 
     Powers are normalised to unit sum on construction.  Delays are mapped to
     integer sample lags only when a realization is built, so several physical
-    taps may share a sample lag at low bandwidth; they then fade independently
-    and add.
+    taps may share a sample lag at low bandwidth; they fade independently and
+    are summed into that lag's single row of the realization.
     """
 
     delays_s: np.ndarray
@@ -126,6 +132,8 @@ class TapProfile:
         powers = np.asarray(self.powers, dtype=np.float64)
         if delays.ndim != 1 or delays.shape != powers.shape or delays.size == 0:
             raise ValueError("delays and powers must be equal-length 1-D arrays")
+        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(powers))):
+            raise ValueError("tap delays and powers must be finite")
         if delays[0] != 0.0:
             raise ValueError("first tap delay must be 0")
         if np.any(np.diff(delays) <= 0) and delays.size > 1:
@@ -148,6 +156,10 @@ class TapProfile:
         delays = np.asarray(delays_us, dtype=np.float64) * 1e-6
         powers = 10.0 ** (np.asarray(powers_db, dtype=np.float64) / 10.0)
         return cls(delays, powers)
+
+
+# Flat fading is the tapped delay line with one unit-power tap at lag 0.
+_FLAT_PROFILE = TapProfile(np.zeros(1), np.ones(1))
 
 
 def load_tap_profile(path) -> TapProfile:
@@ -175,22 +187,27 @@ def urban_12tap_profile() -> TapProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-sample tap gains of one channel draw.
+    """Per-sample gains of one tapped-delay-line draw, one row per sample lag.
 
     ``gains[l, i]`` multiplies ``x[i - delays[l]]`` at output sample ``i``.
+    ``delays`` must be strictly increasing: physical taps that share a sample
+    lag are already summed into that lag's row.  Flat fading is the one-row
+    case ``delays == [0]``, and a fade frozen over the frame (zero Doppler)
+    has constant rows.
     """
 
     delays: np.ndarray
     gains: np.ndarray
-    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         delays = np.asarray(self.delays, dtype=np.int64)
         gains = np.asarray(self.gains, dtype=np.complex128)
-        if gains.ndim != 2 or gains.shape[0] != delays.size:
-            raise ValueError("gains must have shape (n_taps, n_samples)")
+        if delays.ndim != 1 or gains.ndim != 2 or gains.shape[0] != delays.size:
+            raise ValueError("gains must have shape (n_lags, n_samples)")
         if np.any(delays < 0):
             raise ValueError("tap delays must be >= 0")
+        if np.any(np.diff(delays) <= 0):
+            raise ValueError("tap delays must be strictly increasing")
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "gains", gains)
 
@@ -199,26 +216,35 @@ class ChannelRealization:
         return self.gains.shape[1]
 
 
-def _sos_params(n_sinusoids: int, max_doppler_hz: float, rng: np.random.Generator):
-    angles = 2.0 * np.pi * (np.arange(n_sinusoids) + 0.5) / n_sinusoids
-    omegas = 2.0 * np.pi * max_doppler_hz * np.cos(angles)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_sinusoids)
-    return omegas, phases
-
-
-def _fading_trace(
-    n_samples: int,
-    max_doppler_hz: float,
+def tvfs_realization(
+    frame_len: int,
+    profile: TapProfile,
+    doppler: DopplerSpec | float | None,
     sample_rate_hz: float,
     rng: np.random.Generator,
-    n_sinusoids: int,
-    block_static: bool,
-) -> np.ndarray:
-    omegas, phases = _sos_params(n_sinusoids, max_doppler_hz, rng)
-    if block_static or max_doppler_hz == 0.0:
-        h0 = np.exp(1j * phases).sum() / np.sqrt(n_sinusoids)
-        return np.full(n_samples, h0, dtype=np.complex128)
-    return _kernels.jakes_trace(omegas, phases, 1.0 / sample_rate_hz, n_samples)
+) -> ChannelRealization:
+    """Multipath realization: every physical tap fades independently.
+
+    Each tap draws its own ``JAKES_SINUSOIDS`` phases, in profile order.  All
+    taps share one Doppler grid, so the taps that round to the same sample lag
+    fold into one sum-of-sinusoids with complex weights
+    ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``.  With zero Doppler each lag's
+    gain is the constant sum of its weights.
+    """
+    if frame_len <= 0:
+        raise ValueError("frame length must be positive")
+    fd = _max_doppler(doppler)
+    lags, first_tap = np.unique(profile.sample_delays(sample_rate_hz), return_index=True)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(profile.n_taps, JAKES_SINUSOIDS))
+    taps = np.sqrt(profile.powers / JAKES_SINUSOIDS)[:, None] * np.exp(1j * phases)
+    # Sample lags never decrease along the profile, so each lag's taps are contiguous.
+    weights = np.add.reduceat(taps, first_tap, axis=0)
+    if fd == 0.0:
+        gains = np.repeat(weights.sum(axis=1, keepdims=True), frame_len, axis=1)
+    else:
+        omegas = 2.0 * np.pi * fd * _ARRIVAL_COS
+        gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / sample_rate_hz, frame_len)
+    return ChannelRealization(delays=lags, gains=gains)
 
 
 def flat_rayleigh(
@@ -226,40 +252,13 @@ def flat_rayleigh(
     doppler: DopplerSpec | float | None,
     sample_rate_hz: float,
     rng: np.random.Generator,
-    block_static: bool = False,
-    n_sinusoids: int = JAKES_SINUSOIDS,
 ) -> ChannelRealization:
-    """Single-tap Rayleigh channel with unit average power.
+    """Single-tap Rayleigh channel with unit average power: the one-tap profile.
 
-    ``block_static=True`` freezes one draw for the whole frame; otherwise the
-    gain evolves per sample under the classical Doppler spectrum.
+    ``doppler=None`` (zero Doppler) freezes one draw for the whole frame;
+    otherwise the gain evolves per sample under the classical Doppler spectrum.
     """
-    if frame_len <= 0:
-        raise ValueError("frame length must be positive")
-    trace = _fading_trace(
-        frame_len, _max_doppler(doppler), sample_rate_hz, rng, n_sinusoids, block_static
-    )
-    return ChannelRealization(delays=np.zeros(1, dtype=np.int64), gains=trace[None, :])
-
-
-def tvfs_realization(
-    frame_len: int,
-    profile: TapProfile,
-    doppler: DopplerSpec | float | None,
-    sample_rate_hz: float,
-    rng: np.random.Generator,
-    n_sinusoids: int = JAKES_SINUSOIDS,
-) -> ChannelRealization:
-    """Multipath realization: one independent fading process per physical tap."""
-    if frame_len <= 0:
-        raise ValueError("frame length must be positive")
-    fd = _max_doppler(doppler)
-    delays = profile.sample_delays(sample_rate_hz)
-    gains = np.empty((profile.n_taps, frame_len), dtype=np.complex128)
-    for l in range(profile.n_taps):
-        trace = _fading_trace(frame_len, fd, sample_rate_hz, rng, n_sinusoids, False)
-        gains[l] = np.sqrt(profile.powers[l]) * trace
-    return ChannelRealization(delays=delays, gains=gains)
+    return tvfs_realization(frame_len, _FLAT_PROFILE, doppler, sample_rate_hz, rng)
 
 
 def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:
@@ -271,17 +270,3 @@ def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:
         )
     return _kernels.tdl_apply(x, realization.delays, realization.gains)
 
-
-def apply_tvfs(
-    x: np.ndarray,
-    profile: TapProfile,
-    doppler: DopplerSpec | float | None,
-    rng: np.random.Generator,
-    sample_rate_hz: float,
-    n_sinusoids: int = JAKES_SINUSOIDS,
-) -> np.ndarray:
-    """Draw a multipath realization and filter ``x`` through it."""
-    realization = tvfs_realization(
-        len(x), profile, doppler, sample_rate_hz, rng, n_sinusoids
-    )
-    return apply_channel(x, realization)

@@ -133,9 +133,9 @@ def extract_regions(
 
 
 def average_sync(sync_up: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the 8 received sync up-chirps (noise averaging)."""
-    if len(sync_up) != 8:
-        raise ValueError(f"expected 8 sync chirps, got {len(sync_up)}")
+    """Elementwise mean of the received sync up-chirps (noise averaging)."""
+    if len(sync_up) == 0:
+        raise ValueError("expected at least one sync chirp")
     mat = np.asarray(sync_up)
     if mat.ndim != 2:
         raise ValueError("sync chirps must all have the same length")

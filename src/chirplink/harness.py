@@ -56,12 +56,12 @@ def _resolve_profile(path: str | None) -> TapProfile:
 
 
 def _block_static(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
-    return flat_rayleigh(n_samples, None, cfg.bandwidth_hz, rng, block_static=True)
+    return flat_rayleigh(n_samples, None, cfg.bandwidth_hz, rng)
 
 
 def _mobile(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
     doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
-    return flat_rayleigh(n_samples, doppler, cfg.bandwidth_hz, rng, block_static=False)
+    return flat_rayleigh(n_samples, doppler, cfg.bandwidth_hz, rng)
 
 
 def _multipath(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
@@ -239,7 +239,7 @@ def _frame_rng(cfg: SimConfig, sf: int, point_idx: int, frame_idx: int) -> np.ra
 
 
 def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
-    """True impulse response averaged over the preamble chirp bodies (colliding taps add).
+    """True impulse response averaged over the preamble chirp bodies.
 
     Both genie channels use it: ``rayleigh-perfect`` takes tap 0 as its flat
     gain, and ``tvfs-perfect`` equalizes every data chirp with the whole
@@ -249,8 +249,7 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
     sync_up, _ = extract_regions(realization.gains, fcfg)
     means = np.concatenate(sync_up, axis=-1).mean(axis=-1)
     h = np.zeros(fcfg.sf.n, dtype=np.complex128)
-    for d, g in zip(realization.delays, means):
-        h[int(d)] += g
+    h[realization.delays] = means
     return h
 
 

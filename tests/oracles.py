@@ -58,6 +58,32 @@ def linear_convolve_timevarying(
     return y
 
 
+def sos_tap_gains_per_lag(
+    tap_lags: np.ndarray,
+    powers: np.ndarray,
+    phases: np.ndarray,
+    max_doppler_hz: float,
+    sample_rate_hz: float,
+    n_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesize every physical tap on its own, then add the taps per lag.
+
+    Tap ``l`` is ``sqrt(p_l) * sum_k exp(j(w_k t + phi_lk)) / sqrt(K)`` with
+    ``w_k = 2 pi fd cos(2 pi (k + 1/2) / K)``; returns (distinct lags, gains).
+    """
+    k = phases.shape[1]
+    omegas = 2 * np.pi * max_doppler_hz * np.cos(2 * np.pi * (np.arange(k) + 0.5) / k)
+    t = np.arange(n_samples) / sample_rate_hz
+    lags = np.unique(tap_lags)
+    gains = np.zeros((lags.size, n_samples), dtype=np.complex128)
+    for lag, p, phi in zip(tap_lags, powers, phases):
+        tap = np.zeros(n_samples, dtype=np.complex128)
+        for w, ph in zip(omegas, phi):
+            tap += np.exp(1j * (w * t + ph))
+        gains[np.searchsorted(lags, lag)] += np.sqrt(p) * tap / np.sqrt(k)
+    return lags, gains
+
+
 def noncoherent_mary_ser(es_over_n0: float, m: int) -> float:
     """Exact symbol error rate of non-coherent M-ary orthogonal signaling.
 

@@ -11,7 +11,6 @@ from chirplink.channel import (
     TapProfile,
     apply_awgn,
     apply_channel,
-    apply_tvfs,
     bits_per_symbol,
     ebn0_db_to_snr_db,
     ebn0_to_sigma2,
@@ -24,7 +23,7 @@ from chirplink.channel import (
 )
 from chirplink.chirp import raw_upchirp, spreading_gain_db
 
-from oracles import linear_convolve_timevarying
+from oracles import linear_convolve_timevarying, sos_tap_gains_per_lag
 
 
 class TestNoiseBookkeeping:
@@ -124,11 +123,6 @@ class TestFlatRayleigh:
         real = flat_rayleigh(1000, None, 250e3, rng)
         assert np.all(real.gains[0] == real.gains[0, 0])
 
-    def test_block_static_mode(self):
-        rng = np.random.default_rng(3)
-        real = flat_rayleigh(500, DopplerSpec(30.0, 863e6), 250e3, rng, block_static=True)
-        assert np.all(real.gains[0] == real.gains[0, 0])
-
     def test_unit_average_power(self):
         rng = np.random.default_rng(17)
         draws = np.array(
@@ -199,6 +193,13 @@ class TestTapProfile:
         with pytest.raises(ValueError):
             TapProfile(np.array([0.0, 2e-6, 2e-6]), np.array([0.3, 0.3, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TapProfile(np.array([0.0, 1e-6]), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            TapProfile(np.array([0.0, bad]), np.array([1.0, 1.0]))
+
 
 class TestTvfs:
     def test_forced_identity(self):
@@ -256,7 +257,7 @@ class TestTvfs:
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            y = apply_tvfs(x, profile, None, rng, 250e3)
+            y = apply_channel(x, tvfs_realization(x.size, profile, None, 250e3, rng))
             total += np.sum(np.abs(y) ** 2)
         # edge truncation loses a sliver of the delayed taps' energy
         assert abs(total / trials / np.sum(np.abs(x) ** 2) - 1.0) < 0.02
@@ -267,6 +268,26 @@ class TestTvfs:
         b = tvfs_realization(256, profile, 10.0, 250e3, np.random.default_rng(77))
         assert_array_equal(a.gains, b.gains)
         assert_array_equal(a.delays, b.delays)
+
+    @pytest.mark.parametrize("fd", [0.0, 80.0])
+    def test_merged_lags_match_per_tap_synthesis(self, fd):
+        # TU12 at 250 kHz: 12 taps on 2 lags; the realization must equal
+        # twelve separately synthesized taps added per lag
+        profile = urban_12tap_profile()
+        n = 2000
+        real = tvfs_realization(n, profile, fd, 250e3, np.random.default_rng(404))
+        rng = np.random.default_rng(404)
+        phases = np.array([rng.uniform(0.0, 2 * np.pi, size=64) for _ in range(profile.n_taps)])
+        lags, want = sos_tap_gains_per_lag(
+            profile.sample_delays(250e3), profile.powers, phases, fd, 250e3, n
+        )
+        assert_array_equal(real.delays, [0, 1])
+        assert_array_equal(lags, [0, 1])
+        assert_allclose(real.gains, want, rtol=0, atol=1e-12)
+
+    def test_repeated_delays_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ChannelRealization(delays=np.array([0, 1, 1]), gains=np.ones((3, 10)))
 
     def test_length_mismatch_rejected(self):
         real = ChannelRealization(delays=np.zeros(1, dtype=np.int64), gains=np.ones((1, 10)))

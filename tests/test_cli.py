@@ -145,6 +145,15 @@ class TestBerCommand:
         assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("line", ["1.0 nan", "1.0 inf", "inf -3.0"])
+    def test_non_finite_tap_profile_exits_2(self, tmp_path, line):
+        profile = tmp_path / "bad.profile"
+        profile.write_text(f"0.0 0.0\n{line}\n")
+        out = tmp_path / "r.csv"
+        args = ("--tap-profile", str(profile), "--ebn0", "10", "--max-frames", "2")
+        assert run_cli("ber", "--channel", "tvfs-est", *args, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_unplottable_sweep_exits_1_after_writing_csv(self, tmp_path):
         # no bit errors at 30 dB, so the BER plot has no point to draw
         out = tmp_path / "r.csv"

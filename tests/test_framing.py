@@ -151,7 +151,12 @@ def test_average_sync_cancellation():
 
 def test_average_sync_rejects_wrong_count():
     with pytest.raises(ValueError):
-        average_sync([np.ones(128)] * 7)
+        average_sync([])
+
+
+def test_average_sync_any_count():
+    s = np.exp(1j * np.linspace(0, 3, 128))
+    assert_allclose(average_sync([s, 3 * s, -s, s]), s, atol=1e-15)
 
 
 def test_average_sync_noise_reduction():

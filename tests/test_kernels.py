@@ -17,10 +17,11 @@ def _sample_inputs(n=4096, taps=12, seed=0):
 
 def test_numpy_jakes_normalization():
     omegas, phases, *_ = _sample_inputs()
-    trace = _kernels.jakes_trace(omegas, phases, 4e-6, 1000)
-    assert trace.shape == (1000,)
+    weights = (np.exp(1j * phases) / 8.0)[:, None]
+    trace = _kernels.jakes_trace(omegas, weights, 4e-6, 1000)
+    assert trace.shape == (1, 1000)
     assert np.all(np.isfinite(trace))
-    assert_allclose(trace[0], np.exp(1j * phases).sum() / 8.0, rtol=1e-12)
+    assert_allclose(trace[0, 0], np.exp(1j * phases).sum() / 8.0, rtol=1e-12)
 
 
 def test_numpy_tdl_zero_delay_passthrough():
