@@ -7,11 +7,9 @@ channel estimation, equalization and a Monte Carlo sweep harness.
 """
 
 from .chirp import (
-    ChirpParams,
     SpreadingFactor,
     despread,
     dft,
-    instantaneous_frequency,
     raw_downchirp,
     raw_upchirp,
     spreading_gain_db,
@@ -19,17 +17,13 @@ from .chirp import (
 from .modem import (
     IqPair,
     ModConfig,
-    bits_to_pair,
-    bits_to_symbol,
     iqcss_demodulate,
     iqcss_modulate,
     lora_demod_coherent,
     lora_demod_noncoherent,
     lora_modulate,
-    pair_to_bits,
-    symbol_to_bits,
 )
-from .framing import Frame, FrameConfig, Region, average_sync, build_frame, extract_regions
+from .framing import Frame, FrameConfig, average_sync, build_frame, extract_regions
 from .channel import (
     ChannelRealization,
     DopplerSpec,

@@ -45,8 +45,8 @@ class NoiseSpec:
     variance: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not (np.isfinite(self.variance) and self.variance >= 0):
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.variance}")
 
 
 def bits_per_symbol(sf: int, scheme: str) -> int:
@@ -193,7 +193,8 @@ class ChannelRealization:
     ``delays`` must be strictly increasing: physical taps that share a sample
     lag are already summed into that lag's row.  Flat fading is the one-row
     case ``delays == [0]``, and a fade frozen over the frame (zero Doppler)
-    has constant rows.
+    has constant rows.  ``gains`` may be a read-only broadcast view (the
+    zero-Doppler rows are), so callers must not write into it.
     """
 
     delays: np.ndarray
@@ -240,7 +241,7 @@ def tvfs_realization(
     # Sample lags never decrease along the profile, so each lag's taps are contiguous.
     weights = np.add.reduceat(taps, first_tap, axis=0)
     if fd == 0.0:
-        gains = np.repeat(weights.sum(axis=1, keepdims=True), frame_len, axis=1)
+        gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (lags.size, frame_len))
     else:
         omegas = 2.0 * np.pi * fd * _ARRIVAL_COS
         gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / sample_rate_hz, frame_len)

@@ -37,44 +37,6 @@ def as_spreading_factor(sf: int | SpreadingFactor) -> SpreadingFactor:
     return SpreadingFactor(int(sf))
 
 
-@dataclass(frozen=True)
-class ChirpParams:
-    """Continuous-time description of a linear chirp, critically sampled.
-
-    The instantaneous frequency is ``rate_hz_per_s * t + offset_hz`` over the
-    symmetric support ``t in [-duration_s/2, +duration_s/2]``.
-    """
-
-    rate_hz_per_s: float
-    offset_hz: float
-    bandwidth_hz: float
-    duration_s: float
-    sample_interval_s: float
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0 or self.duration_s <= 0:
-            raise ValueError("bandwidth and duration must be positive")
-        if not np.isclose(self.sample_interval_s * self.bandwidth_hz, 1.0, rtol=1e-12):
-            raise ValueError("critical sampling required: sample interval must be 1/bandwidth")
-        n = self.duration_s / self.sample_interval_s
-        if not np.isclose(n, round(n), rtol=1e-9):
-            raise ValueError("duration must be an integer number of samples")
-
-    @classmethod
-    def raw(cls, sf: int | SpreadingFactor, bandwidth_hz: float) -> "ChirpParams":
-        """Full-band sweep (rate = bandwidth/duration) with no frequency offset."""
-        sf = as_spreading_factor(sf)
-        ts = 1.0 / bandwidth_hz
-        duration = sf.n * ts
-        return cls(
-            rate_hz_per_s=bandwidth_hz / duration,
-            offset_hz=0.0,
-            bandwidth_hz=bandwidth_hz,
-            duration_s=duration,
-            sample_interval_s=ts,
-        )
-
-
 @lru_cache(maxsize=None)
 def _upchirp_readonly(n: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.float64)
@@ -118,10 +80,3 @@ def spreading_gain_db(sf: int | SpreadingFactor) -> float:
     sf = as_spreading_factor(sf)
     return 10.0 * np.log10(sf.n / sf.sf)
 
-
-def instantaneous_frequency(params: ChirpParams, t: float) -> float:
-    """Frequency of the chirp at time ``t`` within ``[-duration/2, +duration/2]``."""
-    half = params.duration_s / 2.0
-    if not (-half <= t <= half):
-        raise ValueError(f"t={t} outside the chirp support [-{half}, {half}]")
-    return params.rate_hz_per_s * t + params.offset_hz

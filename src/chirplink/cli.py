@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import typing
 
@@ -182,11 +183,12 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
     sfs = list(VALID_SF) if args.all or not args.sf else list(_parse_sf_list(args.sf))
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    for sf in sfs:
+        if sf not in VALID_SF:
+            raise ConfigError(f"spreading factor {sf} outside 6..12")
     failures = 0
     for scheme in schemes:
         for sf in sfs:
-            if sf not in VALID_SF:
-                raise ConfigError(f"spreading factor {sf} outside 6..12")
             ok = _loopback_ok(scheme, sf, args.trials)
             print(f"{'PASS' if ok else 'FAIL'} scheme={scheme} sf={sf}")
             failures += 0 if ok else 1
@@ -201,6 +203,8 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
         raise ConfigError(f"symbol {args.symbol} outside 0..{sf.n - 1}")
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if args.snr_db is not None and not math.isfinite(args.snr_db):
+        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
     if args.symbol is None:
         signal = raw_upchirp(sf)
     else:

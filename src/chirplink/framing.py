@@ -3,30 +3,24 @@
 A frame is 8 up-chirps and 2 down-chirps at unit amplitude followed by the
 payload chirps.  With ``cp_len > 0`` every chirp (sync chirps included) is
 preceded by a copy of its own last ``cp_len`` samples, so multipath within
-the prefix appears circular after prefix removal.  Time alignment is assumed
-perfect: the receiver slices regions by the known layout.
+the prefix appears circular after prefix removal.
+
+:class:`FrameConfig` is the only description of the layout: a frame is one
+``(total_chirps, samples_per_chirp)`` grid, prefix columns first, laid out
+row by row in time.  :func:`build_frame` writes that grid and
+:func:`extract_regions` reshapes a received frame back into it, returning
+array views.  Time alignment is assumed perfect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
 from .modem import ModConfig, get_scheme
-
-SYNC_UP = "sync-up"
-SYNC_DOWN = "sync-down"
-DATA = "data"
-
-
-class Region(NamedTuple):
-    kind: str
-    start: int
-    length: int
-
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -60,10 +54,9 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class Frame:
-    """Concrete frame: the sample buffer plus its region layout."""
+    """Concrete frame: the sample buffer and the config that lays it out."""
 
     signal: np.ndarray
-    layout: tuple[Region, ...]
     config: FrameConfig = field(repr=False)
 
 
@@ -86,54 +79,46 @@ def build_frame(
         raise ValueError(
             f"payload has {len(payload)} symbols, config expects {cfg.payload_symbols}"
         )
-    n = cfg.sf.n
+    n, cp = cfg.sf.n, cfg.cp_len
     up = _upchirp_readonly(n)
-    data = scheme.modulate(mod, np.reshape(payload, (cfg.payload_symbols, scheme.streams)))
-
-    chirps = np.empty((cfg.total_chirps, n), dtype=np.complex128)
-    chirps[: cfg.n_sync_up] = up
-    chirps[cfg.n_sync_up : cfg.n_sync_up + cfg.n_sync_down] = np.conj(up)
-    chirps[cfg.n_sync_up + cfg.n_sync_down :] = data
-
-    if cfg.cp_len:
-        chirps = np.hstack([chirps[:, n - cfg.cp_len :], chirps])
-    signal = chirps.ravel()
-
-    kinds = (
-        [SYNC_UP] * cfg.n_sync_up
-        + [SYNC_DOWN] * cfg.n_sync_down
-        + [DATA] * cfg.payload_symbols
+    grid = np.empty((cfg.total_chirps, cfg.samples_per_chirp), dtype=np.complex128)
+    body = grid[:, cp:]
+    first_data = cfg.n_sync_up + cfg.n_sync_down
+    body[: cfg.n_sync_up] = up
+    body[cfg.n_sync_up : first_data] = np.conj(up)
+    body[first_data:] = scheme.modulate(
+        mod, np.reshape(payload, (cfg.payload_symbols, scheme.streams))
     )
-    step = cfg.samples_per_chirp
-    layout = tuple(Region(kind, i * step, step) for i, kind in enumerate(kinds))
-    return Frame(signal=signal, layout=layout, config=cfg)
+    grid[:, :cp] = body[:, n - cp :]
+    return Frame(signal=grid.ravel(), config=cfg)
 
 
 def extract_regions(
     frame_rx: np.ndarray, cfg: FrameConfig
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Slice a received frame into (sync up-chirps, data chirps), prefixes dropped.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the received sync up-chirps and data chirps, prefixes dropped.
 
     ``frame_rx`` may be one frame ``(samples,)`` or a stack ``(..., samples)``
-    such as per-tap gains; every chirp keeps the leading axes.
+    such as per-lag gains.  It is reshaped to the frame grid
+    ``(..., total_chirps, samples_per_chirp)``, and the returned arrays are
+    ``(..., n_sync_up, N)`` and ``(..., payload_symbols, N)`` views of it.
     """
     frame_rx = np.asarray(frame_rx)
     if frame_rx.shape[-1:] != (cfg.total_samples,):
         raise ValueError(
             f"frame has shape {frame_rx.shape}, layout expects (..., {cfg.total_samples})"
         )
-    n, cp, step = cfg.sf.n, cfg.cp_len, cfg.samples_per_chirp
-    sync_up = [frame_rx[..., i * step + cp : i * step + cp + n] for i in range(cfg.n_sync_up)]
-    first_data = cfg.n_sync_up + cfg.n_sync_down
-    data = [
-        frame_rx[..., i * step + cp : i * step + cp + n]
-        for i in range(first_data, cfg.total_chirps)
-    ]
-    return sync_up, data
+    grid = frame_rx.reshape(frame_rx.shape[:-1] + (cfg.total_chirps, cfg.samples_per_chirp))
+    bodies = grid[..., cfg.cp_len :]
+    return bodies[..., : cfg.n_sync_up, :], bodies[..., cfg.n_sync_up + cfg.n_sync_down :, :]
 
 
-def average_sync(sync_up: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the received sync up-chirps (noise averaging)."""
+def average_sync(sync_up: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean of the received sync up-chirps (noise averaging).
+
+    ``sync_up`` is the ``(chirps, N)`` array from :func:`extract_regions` or
+    any sequence of equal-length chirps.
+    """
     if len(sync_up) == 0:
         raise ValueError("expected at least one sync chirp")
     mat = np.asarray(sync_up)

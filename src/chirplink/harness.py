@@ -247,7 +247,7 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
     each data chirp actually sees.
     """
     sync_up, _ = extract_regions(realization.gains, fcfg)
-    means = np.concatenate(sync_up, axis=-1).mean(axis=-1)
+    means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
     h = np.zeros(fcfg.sf.n, dtype=np.complex128)
     h[realization.delays] = means
     return h
@@ -258,7 +258,7 @@ def _equalize(
     cfg: SimConfig,
     fcfg: FrameConfig,
     realization: ChannelRealization,
-    sync_up: list[np.ndarray],
+    sync_up: np.ndarray,
     data: np.ndarray,
 ) -> np.ndarray:
     if channel.needs_cp:
@@ -273,7 +273,7 @@ def _equalize(
         est = FlatEstimate(complex(_genie_response(realization, fcfg)[0]))
     else:
         ref = np.tile(_upchirp_readonly(fcfg.sf.n), fcfg.n_sync_up)
-        est = ls_flat(np.concatenate(sync_up), ref)
+        est = ls_flat(sync_up.reshape(-1), ref)
     return equalize_flat(data, est)
 
 
@@ -298,11 +298,10 @@ def _sim_frame(
         y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
-    data_mat = np.asarray(data)
     if scheme.coherent and realization is not None:
-        data_mat = _equalize(channel, cfg, fcfg, realization, sync_up, data_mat)
+        data = _equalize(channel, cfg, fcfg, realization, sync_up, data)
 
-    rx = scheme.detect(data_mat, sf)
+    rx = scheme.detect(data, sf)
     symbol_errors = int((tx != rx).sum())
     bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
     return tx.size * sf_int, bit_errors, tx.size, symbol_errors

@@ -1,4 +1,4 @@
-"""Bit/symbol mapping and chirp modulation with three detectors.
+"""Chirp modulation with three detectors.
 
 Two signal formats are supported:
 
@@ -37,49 +37,6 @@ class ModConfig:
     def __post_init__(self) -> None:
         if self.symbol_energy <= 0:
             raise ValueError("symbol energy must be positive")
-
-
-def _check_symbol(k: int, n: int) -> int:
-    k = int(k)
-    if not 0 <= k < n:
-        raise ValueError(f"symbol {k} outside 0..{n - 1}")
-    return k
-
-
-def bits_to_symbol(bits: Sequence[int], sf: int | SpreadingFactor) -> int:
-    """Natural binary interpretation of ``sf`` bits, most significant first."""
-    sf = as_spreading_factor(sf)
-    bits = np.asarray(bits)
-    if bits.shape != (sf.sf,):
-        raise ValueError(f"expected exactly {sf.sf} bits, got shape {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    k = 0
-    for b in bits:
-        k = (k << 1) | int(b)
-    return k
-
-
-def symbol_to_bits(k: int, sf: int | SpreadingFactor) -> np.ndarray:
-    """Inverse of :func:`bits_to_symbol`; returns ``sf`` bits, MSB first."""
-    sf = as_spreading_factor(sf)
-    k = _check_symbol(k, sf.n)
-    return np.array([(k >> (sf.sf - 1 - i)) & 1 for i in range(sf.sf)], dtype=np.uint8)
-
-
-def bits_to_pair(bits: Sequence[int], sf: int | SpreadingFactor) -> IqPair:
-    """Split ``2*sf`` bits into the in-phase then quadrature symbol."""
-    sf = as_spreading_factor(sf)
-    bits = np.asarray(bits)
-    if bits.shape != (2 * sf.sf,):
-        raise ValueError(f"expected exactly {2 * sf.sf} bits, got shape {bits.shape}")
-    return IqPair(bits_to_symbol(bits[: sf.sf], sf), bits_to_symbol(bits[sf.sf:], sf))
-
-
-def pair_to_bits(pair: IqPair | Sequence[int], sf: int | SpreadingFactor) -> np.ndarray:
-    """Concatenate the in-phase symbol's bits followed by the quadrature's."""
-    k_i, k_q = pair
-    return np.concatenate([symbol_to_bits(k_i, sf), symbol_to_bits(k_q, sf)])
 
 
 @lru_cache(maxsize=None)

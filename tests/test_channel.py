@@ -77,6 +77,11 @@ class TestNoiseBookkeeping:
         with pytest.raises(ValueError):
             NoiseSpec(-1.0)
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, variance):
+        with pytest.raises(ValueError):
+            NoiseSpec(variance)
+
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
@@ -122,6 +127,7 @@ class TestFlatRayleigh:
         rng = np.random.default_rng(3)
         real = flat_rayleigh(1000, None, 250e3, rng)
         assert np.all(real.gains[0] == real.gains[0, 0])
+        assert real.gains.strides[1] == 0
 
     def test_unit_average_power(self):
         rng = np.random.default_rng(17)

@@ -3,11 +3,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chirplink.chirp import (
-    ChirpParams,
     SpreadingFactor,
     despread,
     dft,
-    instantaneous_frequency,
     raw_downchirp,
     raw_upchirp,
     spreading_gain_db,
@@ -125,50 +123,6 @@ def test_spreading_gain(sf, expected):
     # frozen reference values
     frozen = {7: 12.62, 6: 10.28, 12: 25.33}
     assert abs(spreading_gain_db(sf) - frozen[sf]) < 5e-3
-
-
-def test_raw_chirp_params():
-    p = ChirpParams.raw(7, 250e3)
-    assert_allclose(p.sample_interval_s, 1 / 250e3)
-    assert_allclose(p.duration_s, 128 / 250e3)
-    assert_allclose(p.rate_hz_per_s, 250e3 / p.duration_s)
-    assert p.offset_hz == 0.0
-
-
-def test_instantaneous_frequency_raw_chirp():
-    p = ChirpParams.raw(7, 250e3)
-    assert instantaneous_frequency(p, 0.0) == 0.0
-    assert_allclose(instantaneous_frequency(p, p.duration_s / 2), 250e3 / 2, rtol=1e-12)
-    assert_allclose(instantaneous_frequency(p, -p.duration_s / 2), -250e3 / 2, rtol=1e-12)
-
-
-def test_instantaneous_frequency_with_offset():
-    base = ChirpParams.raw(7, 250e3)
-    p = ChirpParams(
-        rate_hz_per_s=base.rate_hz_per_s,
-        offset_hz=1000.0,
-        bandwidth_hz=base.bandwidth_hz,
-        duration_s=base.duration_s,
-        sample_interval_s=base.sample_interval_s,
-    )
-    assert_allclose(instantaneous_frequency(p, -p.duration_s / 2), -250e3 / 2 + 1000.0)
-
-
-def test_instantaneous_frequency_outside_support():
-    p = ChirpParams.raw(7, 250e3)
-    with pytest.raises(ValueError):
-        instantaneous_frequency(p, p.duration_s)
-
-
-def test_chirp_params_require_critical_sampling():
-    with pytest.raises(ValueError):
-        ChirpParams(
-            rate_hz_per_s=1.0,
-            offset_hz=0.0,
-            bandwidth_hz=250e3,
-            duration_s=128 / 250e3,
-            sample_interval_s=1e-6,
-        )
 
 
 @pytest.mark.parametrize("sf", [7, 10])

@@ -142,6 +142,8 @@ class TestBerCommand:
         assert run_cli("chirp", "--sf", "20", "--out", out) == 2
         assert run_cli("chirp", "--sf", "7", "-k", "128", "--out", out) == 2
         assert run_cli("chirp", "--sf", "7", "--seed", "-1", "--out", out) == 2
+        for snr in ("nan", "inf", "-inf"):
+            assert run_cli("chirp", "--sf", "7", f"--snr-db={snr}", "--out", out) == 2
         assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
         assert not (tmp_path / "r.csv").exists()
 
@@ -234,6 +236,11 @@ class TestLoopbackCommand:
         assert run_cli("loopback", "--scheme", "iqcss", "--sf", "7,8") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    def test_bad_sf_exits_2_before_any_loopback(self, capsys):
+        assert run_cli("loopback", "--sf", "7,13") == 2
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
 
 
 class TestChirpCommand:

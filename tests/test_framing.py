@@ -3,15 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chirplink.chirp import SpreadingFactor, raw_upchirp, raw_downchirp
-from chirplink.framing import (
-    DATA,
-    SYNC_DOWN,
-    SYNC_UP,
-    FrameConfig,
-    average_sync,
-    build_frame,
-    extract_regions,
-)
+from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.modem import ModConfig
 
 from oracles import circular_convolve
@@ -41,22 +33,9 @@ def test_frame_length_with_prefix_16():
     assert frame.signal.size == 30 * (128 + 16) == 4320
 
 
-def test_layout_covers_signal_contiguously():
-    cfg, frame = make_frame(cp_len=16)
-    assert len(frame.layout) == 30
-    cursor = 0
-    for region in frame.layout:
-        assert region.start == cursor
-        cursor += region.length
-    assert cursor == frame.signal.size
-    kinds = [r.kind for r in frame.layout]
-    assert kinds == [SYNC_UP] * 8 + [SYNC_DOWN] * 2 + [DATA] * 20
-
-
 def test_cyclic_prefix_repeats_chirp_tail():
     cfg, frame = make_frame(cp_len=16)
-    for region in frame.layout:
-        chunk = frame.signal[region.start : region.start + region.length]
+    for chunk in frame.signal.reshape(30, 144):
         assert_array_equal(chunk[:16], chunk[-16:])
 
 
@@ -105,10 +84,12 @@ def test_extract_slices_stacked_frames_row_by_row():
     cfg, frame = make_frame(cp_len=16)
     stack = np.stack([frame.signal, 2j * frame.signal])
     sync_up, data = extract_regions(stack, cfg)
+    assert sync_up.shape == (2, 8, 128) and data.shape == (2, 20, 128)
+    assert np.shares_memory(sync_up, stack) and np.shares_memory(data, stack)
     for row in range(2):
         sync_row, data_row = extract_regions(stack[row], cfg)
-        for a, b in zip(sync_up + data, sync_row + data_row):
-            assert_array_equal(a[row], b)
+        assert_array_equal(sync_up[row], sync_row)
+        assert_array_equal(data[row], data_row)
 
 
 def test_extract_rejects_wrong_length():

@@ -109,12 +109,21 @@ class TestRates:
 
 
 class TestPopcount:
-    def test_matches_python_bit_count(self):
+    @staticmethod
+    def check_against_python_bit_count():
         rng = np.random.default_rng(0)
         values = rng.integers(0, 4096, size=1000)
         got = _popcount(values)
         want = [int(v).bit_count() for v in values]
         assert list(got) == want
+
+    def test_matches_python_bit_count(self):
+        self.check_against_python_bit_count()
+
+    def test_unpackbits_fallback_matches_python_bit_count(self, monkeypatch):
+        # numpy < 2 has no np.bitwise_count, so this fallback is its only path
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        self.check_against_python_bit_count()
 
 
 class TestRunBer:

@@ -8,15 +8,11 @@ from chirplink.modem import (
     SCHEMES,
     IqPair,
     ModConfig,
-    bits_to_pair,
-    bits_to_symbol,
     iqcss_demodulate,
     iqcss_modulate,
     lora_demod_coherent,
     lora_demod_noncoherent,
     lora_modulate,
-    pair_to_bits,
-    symbol_to_bits,
 )
 
 SF7 = SpreadingFactor(7)
@@ -24,39 +20,6 @@ SF7 = SpreadingFactor(7)
 
 def mod7(es: float = 128.0) -> ModConfig:
     return ModConfig(SF7, es)
-
-
-class TestBitMapping:
-    def test_all_zero_bits(self):
-        assert bits_to_symbol([0] * 7, 7) == 0
-
-    def test_msb_first(self):
-        assert bits_to_symbol([1, 1, 0, 0, 1, 0, 0], 7) == 100
-        assert_array_equal(symbol_to_bits(100, 7), [1, 1, 0, 0, 1, 0, 0])
-
-    def test_roundtrip_exhaustive_sf6(self):
-        for k in range(64):
-            assert bits_to_symbol(symbol_to_bits(k, 6), 6) == k
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_symbol([0, 1], 7)
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_symbol([0, 1, 2, 0, 0, 0, 0], 7)
-
-    def test_pair_concatenation_order(self):
-        assert_array_equal(
-            pair_to_bits(IqPair(1, 2), 6),
-            [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
-        )
-
-    def test_pair_roundtrip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            pair = IqPair(int(rng.integers(0, 128)), int(rng.integers(0, 128)))
-            assert bits_to_pair(pair_to_bits(pair, 7), 7) == pair
 
 
 class TestLoraModulate:
