@@ -1,10 +1,10 @@
 """Least-squares channel estimation from the sync preamble and equalizers.
 
-Flat channels: one complex gain estimated over the whole 8-chirp preamble,
-undone by a single conjugate multiply.  Frequency-selective channels: the
-impulse response follows from cross-correlating the averaged sync chirp with
-the known up-chirp (the chirp's perfect circular autocorrelation makes the
-least-squares normal matrix a scaled identity), undone per DFT bin.
+Both estimates start from the averaged 8 sync chirps.  Flat channels: its
+projection onto the known up-chirp, undone by one conjugate multiply.
+Frequency-selective channels: its circular cross-correlation with the up-chirp
+(the chirp's perfect autocorrelation makes the least-squares normal matrix a
+scaled identity), undone per DFT bin.
 """
 
 from __future__ import annotations

@@ -66,19 +66,23 @@ def snr_db_to_ebn0_db(snr_db: float, sf: int, scheme: str) -> float:
     return snr_db - 10.0 * np.log10(bits_per_symbol(sf, scheme) / n)
 
 
-def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str, es: float) -> NoiseSpec:
-    """Noise variance that realises ``ebn0_db`` for symbols of energy ``es``."""
+def _db_to_linear(db: float, es: float) -> float:
     if es <= 0:
         raise ValueError("symbol energy must be positive")
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
+    if not np.isfinite(db):
+        raise ValueError(f"dB value must be finite, got {db}")
+    return 10.0 ** (db / 10.0)
+
+
+def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str, es: float) -> NoiseSpec:
+    """Noise variance that realises ``ebn0_db`` for symbols of energy ``es``."""
+    ebn0 = _db_to_linear(ebn0_db, es)
     return NoiseSpec(es / (bits_per_symbol(sf, scheme) * ebn0))
 
 
 def snr_to_sigma2(snr_db: float, sf: int, es: float) -> NoiseSpec:
     """Noise variance that realises a per-sample SNR for symbols of energy ``es``."""
-    if es <= 0:
-        raise ValueError("symbol energy must be positive")
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = _db_to_linear(snr_db, es)
     return NoiseSpec(es / ((1 << sf) * snr))
 
 
@@ -159,7 +163,7 @@ class TapProfile:
 
 
 # Flat fading is the tapped delay line with one unit-power tap at lag 0.
-_FLAT_PROFILE = TapProfile(np.zeros(1), np.ones(1))
+FLAT_PROFILE = TapProfile(np.zeros(1), np.ones(1))
 
 
 def load_tap_profile(path) -> TapProfile:
@@ -258,8 +262,9 @@ def flat_rayleigh(
 
     ``doppler=None`` (zero Doppler) freezes one draw for the whole frame;
     otherwise the gain evolves per sample under the classical Doppler spectrum.
+    The harness makes the same draw: :func:`tvfs_realization` on ``FLAT_PROFILE``.
     """
-    return tvfs_realization(frame_len, _FLAT_PROFILE, doppler, sample_rate_hz, rng)
+    return tvfs_realization(frame_len, FLAT_PROFILE, doppler, sample_rate_hz, rng)
 
 
 def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:

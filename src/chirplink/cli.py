@@ -23,9 +23,9 @@ from .harness import CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, 
 from .plotting import plot_records_svg
 
 _FIELD_TYPES = typing.get_type_hints(SimConfig)
-# Fields set by hand-written flags (--sf, --no-truncate-est, the axis flags);
-# every other field gets a ``--field-name`` flag of its own type.
-_CUSTOM_FLAG_FIELDS = {"sf_list", "truncate_est", "axis", "axis_start", "axis_step", "axis_stop"}
+# Fields set by hand-written flags (--sf and the axis flags); every other
+# field gets a ``--field-name`` flag of its own type.
+_CUSTOM_FLAG_FIELDS = {"sf_list", "axis", "axis_start", "axis_step", "axis_stop"}
 _FLAG_FIELDS = tuple(
     f.name for f in dataclasses.fields(SimConfig) if f.name not in _CUSTOM_FLAG_FIELDS
 )
@@ -39,15 +39,6 @@ def _field_type(name: str) -> tuple[type, bool]:
     if type(None) in args:
         return next(a for a in args if a is not type(None)), True
     return hint, False
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _parse_sf_list(text: str) -> tuple[int, ...]:
@@ -79,8 +70,6 @@ def _coerce_field(name: str, text: str):
     text = text.strip()
     if optional and text.lower() == "none":
         return None
-    if kind is bool:
-        return _parse_bool(text)
     if typing.get_origin(kind) is tuple:
         return _parse_sf_list(text)
     try:
@@ -90,7 +79,7 @@ def _coerce_field(name: str, text: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` file with ``#`` comments."""
+    """Parse a flat ``key = value`` file with ``#`` comments; each key at most once."""
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -100,7 +89,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            overrides[key.strip()] = _coerce_field(key.strip(), value)
+            key = key.strip()
+            if key in overrides:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+            overrides[key] = _coerce_field(key, value)
     return overrides
 
 
@@ -112,11 +104,6 @@ def _add_sim_options(sub: argparse.ArgumentParser, axis_flags: tuple[str, ...]) 
     sub.add_argument("--sf", help="spreading factors, e.g. 7 or 7,8")
     for flag in axis_flags:
         sub.add_argument(f"--{flag}", help="sweep in dB: start:step:stop or one value")
-    sub.add_argument(
-        "--no-truncate-est",
-        action="store_true",
-        help="keep estimated taps beyond the cyclic prefix",
-    )
     sub.add_argument("--out", default="results.csv", help="output CSV path")
     sub.add_argument("--plot", help="optional SVG plot path")
     sub.set_defaults(axis_flags=axis_flags)
@@ -132,8 +119,6 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
             overrides[name] = getattr(args, name)
     if args.sf is not None:
         overrides["sf_list"] = _parse_sf_list(args.sf)
-    if args.no_truncate_est:
-        overrides["truncate_est"] = False
 
     given = [flag for flag in args.axis_flags if getattr(args, flag) is not None]
     if len(given) > 1:

@@ -15,7 +15,7 @@ array views.  Time alignment is assumed perfect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -24,18 +24,19 @@ from .modem import ModConfig, get_scheme
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Frame structure knobs; defaults give an 8+2 preamble and 20 data chirps."""
+    """Frame structure: the fixed 8+2 preamble, then ``payload_symbols`` data chirps."""
+
+    n_sync_up: ClassVar[int] = 8
+    n_sync_down: ClassVar[int] = 2
 
     sf: SpreadingFactor
-    n_sync_up: int = 8
-    n_sync_down: int = 2
     payload_symbols: int = 20
     cp_len: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sf", as_spreading_factor(self.sf))
-        if self.n_sync_up < 0 or self.n_sync_down < 0 or self.payload_symbols < 1:
-            raise ValueError("invalid chirp counts")
+        if self.payload_symbols < 1:
+            raise ValueError("payload_symbols must be >= 1")
         if not 0 <= self.cp_len < self.sf.n:
             raise ValueError(f"cp_len must be in [0, {self.sf.n}), got {self.cp_len}")
 

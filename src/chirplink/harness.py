@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .modem import SCHEMES, ModConfig
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
 from .chanest import FlatEstimate, ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
 from .channel import (
+    FLAT_PROFILE,
     ChannelRealization,
     DopplerSpec,
     TapProfile,
@@ -31,7 +31,6 @@ from .channel import (
     apply_channel,
     bits_per_symbol,
     ebn0_to_sigma2,
-    flat_rayleigh,
     load_tap_profile,
     snr_to_sigma2,
     tvfs_realization,
@@ -55,40 +54,28 @@ def _resolve_profile(path: str | None) -> TapProfile:
     return urban_12tap_profile() if path is None else load_tap_profile(path)
 
 
-def _block_static(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
-    return flat_rayleigh(n_samples, None, cfg.bandwidth_hz, rng)
-
-
-def _mobile(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
-    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
-    return flat_rayleigh(n_samples, doppler, cfg.bandwidth_hz, rng)
-
-
-def _multipath(cfg: SimConfig, n_samples: int, rng: np.random.Generator) -> ChannelRealization:
-    profile = _resolve_profile(cfg.tap_profile)
-    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz)
-    return tvfs_realization(n_samples, profile, doppler, cfg.bandwidth_hz, rng)
-
-
 @dataclass(frozen=True)
 class Channel:
-    """How one channel name is simulated and how its receiver learns the channel."""
+    """One channel name: taps (one or the profile), fade (frozen or Doppler), CSI.
 
-    # Draws the fading realization from the frame's generator; None for AWGN only.
-    realize: Callable[[SimConfig, int, np.random.Generator], ChannelRealization] | None
-    # Equalize with the true response (genie CSI) instead of the preamble LS estimate.
+    A fading channel is one :func:`tvfs_realization` draw.  ``multipath`` needs
+    a cyclic prefix covering the longest tap and is equalized per DFT bin;
+    without ``genie`` the receiver uses the preamble least-squares estimate.
+    """
+
+    fading: bool = True
+    multipath: bool = False
+    moving: bool = False
     genie: bool = False
-    # Multipath: needs a cyclic prefix covering the longest tap, equalized per DFT bin.
-    needs_cp: bool = False
 
 
 CHANNELS = {
-    "awgn": Channel(None),
-    "rayleigh-perfect": Channel(_block_static, genie=True),
-    "rayleigh-static-est": Channel(_block_static),
-    "rayleigh-mobile-est": Channel(_mobile),
-    "tvfs-perfect": Channel(_multipath, genie=True, needs_cp=True),
-    "tvfs-est": Channel(_multipath, needs_cp=True),
+    "awgn": Channel(fading=False),
+    "rayleigh-perfect": Channel(genie=True),
+    "rayleigh-static-est": Channel(),
+    "rayleigh-mobile-est": Channel(moving=True),
+    "tvfs-perfect": Channel(multipath=True, moving=True, genie=True),
+    "tvfs-est": Channel(multipath=True, moving=True),
 }
 
 
@@ -112,17 +99,12 @@ class SimConfig:
     cp_len: int | None = None
     payload_symbols: int = 20
     workers: int = 1
-    truncate_est: bool = True
     tap_profile: str | None = None
-    es: float | None = None
 
     def resolved_cp_len(self) -> int:
         if self.cp_len is not None:
             return self.cp_len
-        return 16 if CHANNELS[self.channel].needs_cp else 0
-
-    def symbol_energy(self, sf: int) -> float:
-        return float(self.es) if self.es is not None else float(1 << sf)
+        return 16 if CHANNELS[self.channel].multipath else 0
 
     def _axis_count(self) -> int:
         return int(np.floor((self.axis_stop - self.axis_start) / self.axis_step + 1e-9)) + 1
@@ -162,13 +144,11 @@ class SimConfig:
             raise ConfigError("seed must be >= 0")
         if self.bandwidth_hz <= 0 or self.carrier_hz <= 0 or self.speed_kmh < 0:
             raise ConfigError("bandwidth and carrier must be positive, speed >= 0")
-        if self.es is not None and self.es <= 0:
-            raise ConfigError("symbol energy must be positive")
         cp = self.resolved_cp_len()
         min_n = 1 << min(self.sf_list)
         if not 0 <= cp < min_n:
             raise ConfigError(f"cp_len {cp} must be in [0, {min_n}) for sf_list {self.sf_list}")
-        if CHANNELS[self.channel].needs_cp:
+        if CHANNELS[self.channel].multipath:
             try:
                 profile = _resolve_profile(self.tap_profile)
             except ValueError as exc:
@@ -255,26 +235,23 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
 
 def _equalize(
     channel: Channel,
-    cfg: SimConfig,
     fcfg: FrameConfig,
     realization: ChannelRealization,
     sync_up: np.ndarray,
     data: np.ndarray,
 ) -> np.ndarray:
-    if channel.needs_cp:
-        if channel.genie:
-            est = ImpulseEstimate(_genie_response(realization, fcfg))
-        else:
-            est = ls_selective(average_sync(sync_up), fcfg.sf)
-            if cfg.truncate_est and fcfg.cp_len > 0:
-                est = est.truncated(fcfg.cp_len)
-        return equalize_fd(data, est)
     if channel.genie:
-        est = FlatEstimate(complex(_genie_response(realization, fcfg)[0]))
-    else:
-        ref = np.tile(_upchirp_readonly(fcfg.sf.n), fcfg.n_sync_up)
-        est = ls_flat(sync_up.reshape(-1), ref)
-    return equalize_flat(data, est)
+        h = _genie_response(realization, fcfg)
+        if channel.multipath:
+            return equalize_fd(data, ImpulseEstimate(h))
+        return equalize_flat(data, FlatEstimate(complex(h[0])))
+    y_bar = average_sync(sync_up)
+    if channel.multipath:
+        est = ls_selective(y_bar, fcfg.sf)
+        if fcfg.cp_len > 0:
+            est = est.truncated(fcfg.cp_len)
+        return equalize_fd(data, est)
+    return equalize_flat(data, ls_flat(y_bar, _upchirp_readonly(fcfg.sf.n)))
 
 
 def _sim_frame(
@@ -285,7 +262,8 @@ def _sim_frame(
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
-    mod = ModConfig(sf, cfg.symbol_energy(sf_int))
+    # Unit-amplitude chirps, like the preamble: symbol energy N.
+    mod = ModConfig(sf, float(sf.n))
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cfg.resolved_cp_len())
 
     # Draw order is part of the stream layout: tx symbols, fading phases, noise.
@@ -293,13 +271,15 @@ def _sim_frame(
     frame = build_frame(fcfg, tx, mod, cfg.scheme)
     y = frame.signal
     realization = None
-    if channel.realize is not None:
-        realization = channel.realize(cfg, y.size, rng)
+    if channel.fading:
+        profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
+        doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else None
+        realization = tvfs_realization(y.size, profile, doppler, cfg.bandwidth_hz, rng)
         y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent and realization is not None:
-        data = _equalize(channel, cfg, fcfg, realization, sync_up, data)
+        data = _equalize(channel, fcfg, realization, sync_up, data)
 
     rx = scheme.detect(data, sf)
     symbol_errors = int((tx != rx).sum())
@@ -308,7 +288,7 @@ def _sim_frame(
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
-    es = cfg.symbol_energy(sf)
+    es = float(1 << sf)
     if cfg.axis == "ebn0":
         return ebn0_to_sigma2(axis_db, sf, cfg.scheme, es).variance
     return snr_to_sigma2(axis_db, sf, es).variance
@@ -382,24 +362,8 @@ def _fmt(value) -> str:
 
 def records_to_csv(records: list[SimRecord]) -> str:
     """Render records in the canonical column order, floats at 6 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        row = (
-            r.scheme,
-            r.sf,
-            r.axis,
-            r.axis_db,
-            r.bits_sent,
-            r.bit_errors,
-            r.ber,
-            r.symbol_errors,
-            r.ser,
-            r.throughput_bps,
-            r.censored,
-            r.seed,
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS) for r in records)
+    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
 def write_csv(records: list[SimRecord], path) -> None:

@@ -82,6 +82,13 @@ class TestNoiseBookkeeping:
         with pytest.raises(ValueError):
             NoiseSpec(variance)
 
+    @pytest.mark.parametrize("db", [-np.inf, np.nan, np.inf])
+    def test_non_finite_db_rejected(self, db):
+        with pytest.raises(ValueError, match="finite"):
+            snr_to_sigma2(db, 7, 128.0)
+        with pytest.raises(ValueError, match="finite"):
+            ebn0_to_sigma2(db, 7, "iqcss", 128.0)
+
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):

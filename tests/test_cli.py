@@ -41,14 +41,12 @@ class TestConfigFile:
             "max_frames = 10\n"
             "min_bit_errors = 5\n"
             "seed = 4\n"
-            "truncate_est = false\n"
             "cp_len = none\n"
         )
         cfg = read_config_file(path)
         assert cfg["scheme"] == "iqcss"
         assert cfg["sf_list"] == (7, 8)
         assert cfg["axis_step"] == 2.0
-        assert cfg["truncate_est"] is False
         assert cfg["cp_len"] is None
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -62,6 +60,15 @@ class TestConfigFile:
         path.write_text("scheme iqcss\n")
         with pytest.raises(ConfigError):
             read_config_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed = 1\n# later\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r"sim\.cfg:3"):
+            read_config_file(path)
+        out = tmp_path / "r.csv"
+        assert run_cli("ber", "--config", str(path), "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestBerCommand:
@@ -145,6 +152,12 @@ class TestBerCommand:
         for snr in ("nan", "inf", "-inf"):
             assert run_cli("chirp", "--sf", "7", f"--snr-db={snr}", "--out", out) == 2
         assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
+        # removed knobs: the symbol energy is N and the multipath estimate is always truncated
+        for line in ("es = 1\n", "truncate_est = false\n"):
+            cfg.write_text(line)
+            assert run_cli("ber", "--config", str(cfg), "--out", out) == 2
+        assert run_cli("ber", "--es", "2", "--out", out) == 2
+        assert run_cli("ber", "--no-truncate-est", "--out", out) == 2
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("line", ["1.0 nan", "1.0 inf", "inf -3.0"])

@@ -49,7 +49,6 @@ class TestConfigValidation:
             dict(axis_step=float("inf")),
             dict(axis_stop=float("inf")),
             dict(axis_stop=float("nan")),
-            dict(es=float("nan")),
             dict(speed_kmh=float("inf")),
         ],
     )
