@@ -2,33 +2,47 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 
 def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: int) -> np.ndarray:
     """Per-lag sum-of-sinusoids gains g[l, i] = sum_k weights[k, l] * exp(j*w_k*i*ts).
 
-    ``weights`` has shape (K, lags) and the result (lags, n_samples).  Each
-    sinusoid is evaluated once and added into every lag, one at a time, so no
-    (K, n_samples) table is ever built.
+    ``weights`` has shape (K, lags) and the result (lags, n_samples).  With
+    block size ``B = isqrt(n_samples)`` and ``nb = ceil(n_samples / B)``
+    blocks, sample ``i = b*B + r`` factorizes as
+    ``exp(j*w_k*i*ts) = exp(j*w_k*b*B*ts) * exp(j*w_k*r*ts)``: a coarse
+    (nb, K) table and a fine (K, B) table, K*(nb + B) exponentials in place
+    of K*n_samples.  Block ``b`` of lag ``l`` is the vector-matrix product
+    ``(coarse[b] * weights[:, l]) @ fine``, so no (K, n_samples) table is
+    built.  One matrix-matrix product per lag is up to 2x faster at sf10-12,
+    but it touches the BLAS level-3 packing buffers, about 1 MB more
+    resident memory per process.
     """
-    jt = 1j * (np.arange(n_samples) * ts)
-    acc = np.zeros((weights.shape[1], n_samples), dtype=np.complex128)
-    for w, row in zip(omegas, weights):
-        e = np.exp(w * jt)
-        for l, c in enumerate(row):
-            acc[l] += c * e
-    return acc
+    block = isqrt(n_samples)
+    n_blocks = -(-n_samples // block)
+    coarse = np.exp(1j * np.outer(np.arange(n_blocks) * (block * ts), omegas))
+    fine = np.exp(1j * np.outer(omegas, np.arange(block) * ts))
+    out = np.empty((weights.shape[1], n_blocks, block), dtype=np.complex128)
+    for lag_weights, lag_out in zip(weights.T, out):
+        for row, dst in zip(coarse * lag_weights, lag_out):
+            np.dot(row, fine, out=dst)
+    return out.reshape(len(out), -1)[:, :n_samples]
 
 
 def tdl_apply(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start."""
+    """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start.
+
+    Constant rows given as a stride-0 view (the zero-Doppler realization)
+    multiply by one scalar per row.
+    """
     n = x.size
     y = np.zeros(n, dtype=np.complex128)
+    constant = gains.strides[1] == 0
     for l, d in enumerate(delays):
         d = int(d)
-        if d == 0:
-            y += gains[l] * x
-        elif d < n:
-            y[d:] += gains[l, d:] * x[: n - d]
+        if d < n:
+            y[d:] += (gains[l, 0] if constant else gains[l, d:]) * x[: n - d]
     return y

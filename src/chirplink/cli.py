@@ -214,26 +214,31 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chirplink",
+        allow_abbrev=False,
         description="Chirp spread spectrum link simulator (chirp-FSK and I/Q chirp signaling)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    ber = subs.add_parser("ber", help="bit-error-ratio sweep")
+    ber = subs.add_parser("ber", help="bit-error-ratio sweep", allow_abbrev=False)
     _add_sim_options(ber, axis_flags=("ebn0", "snr"))
     ber.set_defaults(func=lambda a: _cmd_sweep(a, throughput=False))
 
-    thr = subs.add_parser("throughput", help="(1-SER)*rate sweep over SNR")
+    thr = subs.add_parser("throughput", help="(1-SER)*rate sweep over SNR", allow_abbrev=False)
     _add_sim_options(thr, axis_flags=("snr",))
     thr.set_defaults(func=lambda a: _cmd_sweep(a, throughput=True))
 
-    loop = subs.add_parser("loopback", help="noiseless modulate/demodulate self-test")
+    loop = subs.add_parser(
+        "loopback", help="noiseless modulate/demodulate self-test", allow_abbrev=False
+    )
     loop.add_argument("--all", action="store_true", help="every scheme and spreading factor")
     loop.add_argument("--scheme", choices=SCHEMES)
     loop.add_argument("--sf", help="spreading factors, e.g. 7 or 7,8")
     loop.add_argument("--trials", type=int, default=1000, help="random symbols when sf > 8")
     loop.set_defaults(func=_cmd_loopback)
 
-    chirp = subs.add_parser("chirp", help="dump a chirp waveform or despread spectrum")
+    chirp = subs.add_parser(
+        "chirp", help="dump a chirp waveform or despread spectrum", allow_abbrev=False
+    )
     chirp.add_argument("--sf", type=int, default=7)
     chirp.add_argument("-k", "--symbol", type=int, help="data symbol (default: raw chirp)")
     chirp.add_argument("--snr-db", type=float, help="add noise at this per-sample SNR")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 
@@ -161,7 +160,7 @@ class SimConfig:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimRecord:
     """Measured outcome of one (scheme, sf, axis point)."""
 
@@ -331,7 +330,12 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
 def _run(cfg: SimConfig) -> list[SimRecord]:
     cfg.validate()
     points = cfg.axis_points()
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    pool = None
+    if cfg.workers > 1:
+        # Imported on demand, so single-worker runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=cfg.workers)
     with pool or contextlib.nullcontext():
         return [
             _run_point(cfg, sf, idx, db, pool)

@@ -160,6 +160,14 @@ class TestBerCommand:
         assert run_cli("ber", "--no-truncate-est", "--out", out) == 2
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flag", [("--speed", "30"), ("--work", "2")])
+    def test_abbreviated_flag_exits_2(self, tmp_path, flag):
+        # argparse would otherwise take these as --speed-kmh and --workers
+        out = tmp_path / "r.csv"
+        args = ("--ebn0", "10", "--max-frames", "2", "--out", str(out))
+        assert run_cli("ber", *flag, *args) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["1.0 nan", "1.0 inf", "inf -3.0"])
     def test_non_finite_tap_profile_exits_2(self, tmp_path, line):
         profile = tmp_path / "bad.profile"
