@@ -14,35 +14,31 @@ def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: i
     block size ``B = isqrt(n_samples)`` and ``nb = ceil(n_samples / B)``
     blocks, sample ``i = b*B + r`` factorizes as
     ``exp(j*w_k*i*ts) = exp(j*w_k*b*B*ts) * exp(j*w_k*r*ts)``: a coarse
-    (nb, K) table and a fine (K, B) table, K*(nb + B) exponentials in place
-    of K*n_samples.  Block ``b`` of lag ``l`` is the vector-matrix product
-    ``(coarse[b] * weights[:, l]) @ fine``, so no (K, n_samples) table is
-    built.  One matrix-matrix product per lag is up to 2x faster at sf10-12,
-    but it touches the BLAS level-3 packing buffers, about 1 MB more
-    resident memory per process.
+    (nb, K) and a fine (B, K) table, K*(nb + B) exponentials in place of
+    K*n_samples, and no (K, n_samples) table.  Sample (b, r) of lag l is
+    ``sum_k coarse[b, k] * weights[k, l] * fine[r, k]``, taken in real
+    arithmetic as two length-2K dots of the interleaved (re, im) coarse terms
+    with the rows ``conj(fine[r])`` and ``j*conj(fine[r])``.  ``np.einsum``
+    without path optimization runs the dots in numpy's own loops: a BLAS
+    product would start a thread pool that spins beside every worker of a
+    multi-worker run.
     """
     block = isqrt(n_samples)
     n_blocks = -(-n_samples // block)
     coarse = np.exp(1j * np.outer(np.arange(n_blocks) * (block * ts), omegas))
-    fine = np.exp(1j * np.outer(omegas, np.arange(block) * ts))
-    out = np.empty((weights.shape[1], n_blocks, block), dtype=np.complex128)
-    for lag_weights, lag_out in zip(weights.T, out):
-        for row, dst in zip(coarse * lag_weights, lag_out):
-            np.dot(row, fine, out=dst)
+    conj_fine = np.exp(-1j * np.outer(np.arange(block) * ts, omegas))
+    fine = np.stack([conj_fine, 1j * conj_fine], axis=1).view(np.float64).reshape(2 * block, -1)
+    terms = np.ascontiguousarray(coarse * weights.T[:, None, :]).view(np.float64)
+    out = np.einsum("lbk,jk->lbj", terms, fine, optimize=False).view(np.complex128)
     return out.reshape(len(out), -1)[:, :n_samples]
 
 
 def tdl_apply(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start.
-
-    Constant rows given as a stride-0 view (the zero-Doppler realization)
-    multiply by one scalar per row.
-    """
+    """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start."""
     n = x.size
     y = np.zeros(n, dtype=np.complex128)
-    constant = gains.strides[1] == 0
     for l, d in enumerate(delays):
         d = int(d)
         if d < n:
-            y[d:] += (gains[l, 0] if constant else gains[l, d:]) * x[: n - d]
+            y[d:] += gains[l, d:] * x[: n - d]
     return y

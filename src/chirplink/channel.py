@@ -19,7 +19,7 @@ phases per tap, classical Doppler spectrum of maximum frequency ``v * fc / c``.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,16 +125,14 @@ class TapProfile:
     Powers are normalised to unit sum on construction.  Delays are mapped to
     integer sample lags only when a realization is built, so several physical
     taps may share a sample lag at low bandwidth; they fade independently and
-    are summed into that lag's single row of the realization.  Both arrays
-    are read-only copies, so the lag grouping can be kept per sample rate.
+    are summed into that lag's single row of the realization.
     """
 
     delays_s: np.ndarray
     powers: np.ndarray
-    _lag_groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        delays = np.array(self.delays_s, dtype=np.float64)
+        delays = np.asarray(self.delays_s, dtype=np.float64)
         powers = np.asarray(self.powers, dtype=np.float64)
         if delays.ndim != 1 or delays.shape != powers.shape or delays.size == 0:
             raise ValueError("delays and powers must be equal-length 1-D arrays")
@@ -146,11 +144,8 @@ class TapProfile:
             raise ValueError("tap delays must be strictly increasing")
         if np.any(powers <= 0):
             raise ValueError("tap powers must be positive")
-        powers = powers / powers.sum()
-        delays.flags.writeable = False
-        powers.flags.writeable = False
         object.__setattr__(self, "delays_s", delays)
-        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "powers", powers / powers.sum())
 
     @property
     def n_taps(self) -> int:
@@ -159,19 +154,6 @@ class TapProfile:
     def sample_delays(self, sample_rate_hz: float) -> np.ndarray:
         """Tap delays rounded to the nearest sample at the given rate."""
         return np.rint(self.delays_s * sample_rate_hz).astype(np.int64)
-
-    def lag_groups(self, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct sample lags at the given rate and each lag's first tap index.
-
-        Computed once per rate and kept on the profile; the arrays are read-only.
-        """
-        groups = self._lag_groups.get(sample_rate_hz)
-        if groups is None:
-            groups = np.unique(self.sample_delays(sample_rate_hz), return_index=True)
-            for a in groups:
-                a.flags.writeable = False
-            self._lag_groups[sample_rate_hz] = groups
-        return groups
 
     @classmethod
     def from_db(cls, delays_us, powers_db) -> "TapProfile":
@@ -257,7 +239,7 @@ def tvfs_realization(
     if frame_len <= 0:
         raise ValueError("frame length must be positive")
     fd = _max_doppler(doppler)
-    lags, first_tap = profile.lag_groups(sample_rate_hz)
+    lags, first_tap = np.unique(profile.sample_delays(sample_rate_hz), return_index=True)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(profile.n_taps, JAKES_SINUSOIDS))
     taps = np.sqrt(profile.powers / JAKES_SINUSOIDS)[:, None] * np.exp(1j * phases)
     # Sample lags never decrease along the profile, so each lag's taps are contiguous.

@@ -160,7 +160,7 @@ class SimConfig:
                 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimRecord:
     """Measured outcome of one (scheme, sf, axis point)."""
 

@@ -206,17 +206,6 @@ class TestTapProfile:
         with pytest.raises(ValueError):
             TapProfile(np.array([0.0, 2e-6, 2e-6]), np.array([0.3, 0.3, 0.4]))
 
-    def test_lag_groups_kept_per_rate(self):
-        delays = np.array([0.0, 1e-6, 2e-6, 8e-6])
-        profile = TapProfile(delays, np.ones(4))
-        delays[1] = 5e-6  # the profile holds its own read-only copy
-        lags, first_tap = profile.lag_groups(250e3)
-        assert profile.lag_groups(250e3)[0] is lags
-        assert_array_equal(lags, [0, 2])
-        assert_array_equal(first_tap, [0, 3])
-        assert_array_equal(profile.lag_groups(1e6)[0], [0, 1, 2, 8])
-        assert not (lags.flags.writeable or profile.delays_s.flags.writeable)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
