@@ -50,6 +50,7 @@ from .chanest import (
     ls_selective,
 )
 from .harness import (
+    STREAM_VERSION,
     ConfigError,
     SimConfig,
     SimRecord,

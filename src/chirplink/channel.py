@@ -155,11 +155,46 @@ class TapProfile:
         """Tap delays rounded to the nearest sample at the given rate."""
         return np.rint(self.delays_s * sample_rate_hz).astype(np.int64)
 
+    def lag_groups(self, sample_rate_hz: float) -> "TapLags":
+        """The taps grouped by sample lag at the given rate (see :class:`TapLags`)."""
+        lags, first_tap = np.unique(self.sample_delays(sample_rate_hz), return_index=True)
+        return TapLags(
+            lags, first_tap, np.sqrt(self.powers / JAKES_SINUSOIDS), float(sample_rate_hz)
+        )
+
     @classmethod
     def from_db(cls, delays_us, powers_db) -> "TapProfile":
         delays = np.asarray(delays_us, dtype=np.float64) * 1e-6
         powers = 10.0 ** (np.asarray(powers_db, dtype=np.float64) / 10.0)
         return cls(delays, powers)
+
+
+@dataclass(frozen=True)
+class TapLags:
+    """A profile's physical taps grouped by integer sample lag at one sample rate.
+
+    ``lags`` are the distinct sample lags in increasing order and
+    ``first_tap`` the index of each lag's first tap: lags never decrease
+    along a profile, so each lag's taps are contiguous.  ``amplitudes`` is
+    ``sqrt(p / K)`` per physical tap.  The grouping depends only on the
+    profile and the rate, so a sweep builds it once per point.
+    """
+
+    lags: np.ndarray
+    first_tap: np.ndarray
+    amplitudes: np.ndarray
+    sample_rate_hz: float
+
+    def draw_weights(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``JAKES_SINUSOIDS`` phases per physical tap, in profile order.
+
+        Returns the ``(lags, K)`` complex sinusoid weights
+        ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``, summed over the taps of each
+        lag.  A frozen fade's gain per lag is the row sum.
+        """
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.amplitudes.size, JAKES_SINUSOIDS))
+        taps = self.amplitudes[:, None] * np.exp(1j * phases)
+        return np.add.reduceat(taps, self.first_tap, axis=0)
 
 
 # Flat fading is the tapped delay line with one unit-power tap at lag 0.
@@ -223,7 +258,7 @@ class ChannelRealization:
 
 def tvfs_realization(
     frame_len: int,
-    profile: TapProfile,
+    profile: TapProfile | TapLags,
     doppler: DopplerSpec | float | None,
     sample_rate_hz: float,
     rng: np.random.Generator,
@@ -232,24 +267,25 @@ def tvfs_realization(
 
     Each tap draws its own ``JAKES_SINUSOIDS`` phases, in profile order.  All
     taps share one Doppler grid, so the taps that round to the same sample lag
-    fold into one sum-of-sinusoids with complex weights
-    ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``.  With zero Doppler each lag's
-    gain is the constant sum of its weights.
+    fold into one sum-of-sinusoids (:meth:`TapLags.draw_weights`).  With zero
+    Doppler each lag's gain is the constant sum of its weights.  ``profile``
+    may be grouped already, by ``profile.lag_groups(sample_rate_hz)``.
     """
     if frame_len <= 0:
         raise ValueError("frame length must be positive")
+    taps = profile if isinstance(profile, TapLags) else profile.lag_groups(sample_rate_hz)
+    if taps.sample_rate_hz != sample_rate_hz:
+        raise ValueError(
+            f"taps grouped at {taps.sample_rate_hz:g} Hz, realization asked at {sample_rate_hz:g} Hz"
+        )
     fd = _max_doppler(doppler)
-    lags, first_tap = np.unique(profile.sample_delays(sample_rate_hz), return_index=True)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(profile.n_taps, JAKES_SINUSOIDS))
-    taps = np.sqrt(profile.powers / JAKES_SINUSOIDS)[:, None] * np.exp(1j * phases)
-    # Sample lags never decrease along the profile, so each lag's taps are contiguous.
-    weights = np.add.reduceat(taps, first_tap, axis=0)
+    weights = taps.draw_weights(rng)
     if fd == 0.0:
-        gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (lags.size, frame_len))
+        gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (taps.lags.size, frame_len))
     else:
         omegas = 2.0 * np.pi * fd * _ARRIVAL_COS
         gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / sample_rate_hz, frame_len)
-    return ChannelRealization(delays=lags, gains=gains)
+    return ChannelRealization(delays=taps.lags, gains=gains)
 
 
 def flat_rayleigh(
@@ -262,7 +298,8 @@ def flat_rayleigh(
 
     ``doppler=None`` (zero Doppler) freezes one draw for the whole frame;
     otherwise the gain evolves per sample under the classical Doppler spectrum.
-    The harness makes the same draw: :func:`tvfs_realization` on ``FLAT_PROFILE``.
+    The harness makes the same draw on ``FLAT_PROFILE``: a frozen gain is the
+    sum of :meth:`TapLags.draw_weights`, a moving one :func:`tvfs_realization`.
     """
     return tvfs_realization(frame_len, FLAT_PROFILE, doppler, sample_rate_hz, rng)
 

@@ -5,6 +5,11 @@ Each frame is an independent trial whose random stream is derived from
 frames are distributed over workers.  Frames are processed in fixed-size
 batches and the stop rule (enough bit errors, or the frame budget) is checked
 between batches, which keeps the set of simulated frames deterministic.
+
+The frozen channels (AWGN and flat fading constant over the frame) draw each
+data chirp's despread spectrum directly; the moving and multipath channels
+simulate the waveform.  The per-frame draw order is the stream layout, and
+:data:`STREAM_VERSION` names it.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ import numpy as np
 from .chirp import SpreadingFactor, VALID_SF, _upchirp_readonly
 from .modem import SCHEMES, ModConfig
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
-from .chanest import FlatEstimate, ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
+from .chanest import ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
 from .channel import (
     FLAT_PROFILE,
     ChannelRealization,
     DopplerSpec,
+    TapLags,
     TapProfile,
     apply_awgn,
     apply_channel,
@@ -37,6 +43,10 @@ from .channel import (
 )
 
 AXES = ("ebn0", "snr")
+
+# Version of the per-frame random-stream layout.  Version 2: frozen channels
+# draw tx symbols, fade phases, the estimate error, then the data noise bins.
+STREAM_VERSION = 2
 
 FRAMES_PER_BATCH = 32
 
@@ -66,6 +76,11 @@ class Channel:
     multipath: bool = False
     moving: bool = False
     genie: bool = False
+
+    @property
+    def frozen(self) -> bool:
+        """Flat and constant over the frame: simulated on despread spectra."""
+        return not (self.moving or self.multipath)
 
 
 CHANNELS = {
@@ -220,10 +235,8 @@ def _frame_rng(cfg: SimConfig, sf: int, point_idx: int, frame_idx: int) -> np.ra
 def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
     """True impulse response averaged over the preamble chirp bodies.
 
-    Both genie channels use it: ``rayleigh-perfect`` takes tap 0 as its flat
-    gain, and ``tvfs-perfect`` equalizes every data chirp with the whole
-    response.  Under Doppler that is the preamble average, not the response
-    each data chirp actually sees.
+    ``tvfs-perfect`` equalizes every data chirp with it.  Under Doppler that is
+    the preamble average, not the response each data chirp actually sees.
     """
     sync_up, _ = extract_regions(realization.gains, fcfg)
     means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
@@ -240,10 +253,7 @@ def _equalize(
     data: np.ndarray,
 ) -> np.ndarray:
     if channel.genie:
-        h = _genie_response(realization, fcfg)
-        if channel.multipath:
-            return equalize_fd(data, ImpulseEstimate(h))
-        return equalize_flat(data, FlatEstimate(complex(h[0])))
+        return equalize_fd(data, ImpulseEstimate(_genie_response(realization, fcfg)))
     y_bar = average_sync(sync_up)
     if channel.multipath:
         est = ls_selective(y_bar, fcfg.sf)
@@ -253,10 +263,19 @@ def _equalize(
     return equalize_flat(data, ls_flat(y_bar, _upchirp_readonly(fcfg.sf.n)))
 
 
+def _errors(tx: np.ndarray, rx: np.ndarray, sf_int: int) -> tuple[int, int, int, int]:
+    symbol_errors = np.count_nonzero(tx != rx)
+    bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
+    return tx.size * sf_int, bit_errors, tx.size, symbol_errors
+
+
 def _sim_frame(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, frame_idx: int
+    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, frame_idx: int
 ) -> tuple[int, int, int, int]:
-    """Simulate one frame; returns (bits_sent, bit_errors, symbols_sent, symbol_errors)."""
+    """Simulate one moving or multipath frame on the waveform.
+
+    Returns (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    """
     sf = SpreadingFactor(sf_int)
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
@@ -268,22 +287,48 @@ def _sim_frame(
     # Draw order is part of the stream layout: tx symbols, fading phases, noise.
     tx = rng.integers(0, sf.n, size=(cfg.payload_symbols, scheme.streams))
     frame = build_frame(fcfg, tx, mod, cfg.scheme)
-    y = frame.signal
-    realization = None
-    if channel.fading:
-        profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
-        doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else None
-        realization = tvfs_realization(y.size, profile, doppler, cfg.bandwidth_hz, rng)
-        y = apply_channel(y, realization)
-    y = apply_awgn(y, sigma2, rng)
+    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else None
+    realization = tvfs_realization(frame.signal.size, taps, doppler, cfg.bandwidth_hz, rng)
+    y = apply_awgn(apply_channel(frame.signal, realization), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
-    if scheme.coherent and realization is not None:
+    if scheme.coherent:
         data = _equalize(channel, fcfg, realization, sync_up, data)
+    return _errors(tx, scheme.detect(data, sf), sf_int)
 
-    rx = scheme.detect(data, sf)
-    symbol_errors = int((tx != rx).sum())
-    bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
-    return tx.size * sf_int, bit_errors, tx.size, symbol_errors
+
+def _frozen_frame(
+    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None, frame_idx: int
+) -> tuple[int, int, int, int]:
+    """Simulate one frame of a frozen channel from its despread data spectra.
+
+    With one gain ``h`` over the frame and perfect timing, despreading and the
+    N-point DFT are sqrt(N) times a unitary map, so data chirp ``i``'s spectrum
+    is ``h * S(tx_i)`` plus i.i.d. CN(0, N*sigma2) bins.  The preamble
+    least-squares estimate averages 8 unit-amplitude sync chirps, so its error
+    is CN(0, sigma2 / (8N)).  Returns what :func:`_sim_frame` returns.
+    """
+    n = 1 << sf_int
+    scheme = SCHEMES[cfg.scheme]
+    channel = CHANNELS[cfg.channel]
+    rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
+
+    # Draw order is stream version 2: tx symbols, fade phases, estimate error, noise bins.
+    tx = rng.integers(0, n, size=(cfg.payload_symbols, scheme.streams))
+    spectra = scheme.spectrum(ModConfig(SpreadingFactor(sf_int), float(n)), tx)
+    if channel.fading:
+        h = h_est = complex(taps.draw_weights(rng).sum())
+        if scheme.coherent and not channel.genie:
+            err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
+            h_est = h + complex(err[0], err[1])
+        spectra = h * spectra
+    w = rng.standard_normal((2, cfg.payload_symbols, n))
+    w *= math.sqrt(n * sigma2 / 2)
+    rx = np.empty(spectra.shape, dtype=np.complex128)
+    rx.real, rx.imag = w
+    rx += spectra
+    if channel.fading and scheme.coherent:
+        rx = equalize_flat(rx, h_est)
+    return _errors(tx, scheme.decide(rx), sf_int)
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
@@ -295,7 +340,13 @@ def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
 
 def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) -> SimRecord:
     sigma2 = _point_sigma2(cfg, sf, axis_db)
-    sim = partial(_sim_frame, cfg, sf, sigma2, point_idx)
+    channel = CHANNELS[cfg.channel]
+    taps = None
+    if channel.fading:
+        profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
+        taps = profile.lag_groups(cfg.bandwidth_hz)
+    frame = _frozen_frame if channel.frozen else _sim_frame
+    sim = partial(frame, cfg, sf, sigma2, point_idx, taps)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0
     done = 0

@@ -82,17 +82,34 @@ class Scheme:
     combine: Callable[[np.ndarray], np.ndarray]  # unit tones (..., streams, N) -> (..., N)
     decide: Callable[[np.ndarray], np.ndarray]  # spectra (..., N) -> symbols (..., streams)
 
-    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
-        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
-        n = cfg.sf.n
+    def _symbols(self, n: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         ks = np.asarray(symbols, dtype=np.int64)
         if ks.shape[-1:] != (self.streams,):
             raise ValueError(f"expected {self.streams} symbol(s) per chirp, got shape {ks.shape}")
         if ks.size and (ks.min() < 0 or ks.max() >= n):
             raise ValueError(f"symbol outside 0..{n - 1}")
+        return ks
+
+    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
+        n = cfg.sf.n
+        ks = self._symbols(n, symbols)
         amp = np.sqrt(cfg.symbol_energy / (self.streams * n))
         tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
         return amp * self.combine(tones) * _upchirp_readonly(n)
+
+    def spectrum(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Despread spectra ``dft(despread(modulate(cfg, symbols)))`` (..., N), built directly.
+
+        Each tone of amplitude ``sqrt(Es / (streams * N))`` despreads to one
+        bin of height ``sqrt(Es * N / streams)``: the in-phase stream's bin is
+        real and the quadrature stream's imaginary.
+        """
+        n = cfg.sf.n
+        ks = self._symbols(n, symbols)
+        hot = np.zeros((ks.size, n))
+        hot[np.arange(ks.size), ks.ravel()] = np.sqrt(cfg.symbol_energy * n / self.streams)
+        return self.combine(hot.reshape(ks.shape + (n,)))
 
     def detect(self, rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
         """Decide the symbols (..., streams) carried by chirps ``rx`` (..., N)."""

@@ -1,8 +1,14 @@
-"""Independent reference implementations used to check the library code.
+"""Reference implementations used to check the library code.
 
-Everything here is deliberately brute-force or closed-form and shares no code
+Most of this is deliberately brute-force or closed-form and shares no code
 with the package: direct O(N^2) transforms, direct convolution, and textbook
 M-ary orthogonal-signaling error rates evaluated in extended precision.
+
+The exception is :func:`waveform_frozen_frame`, the reference for the
+harness's frozen-channel frames (which are drawn on despread spectra): it
+composes the package's waveform primitives, frame building, channel, noise,
+region slicing, estimation, equalization and detection, into the full
+sample-level frame.
 """
 
 from __future__ import annotations
@@ -13,6 +19,13 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 from scipy.stats import norm
+
+from chirplink.chanest import equalize_flat, ls_flat
+from chirplink.channel import FLAT_PROFILE, apply_awgn, apply_channel, tvfs_realization
+from chirplink.chirp import SpreadingFactor, raw_upchirp
+from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
+from chirplink.harness import CHANNELS
+from chirplink.modem import SCHEMES, ModConfig
 
 mp.mp.dps = 60
 
@@ -118,3 +131,42 @@ def mary_ber_from_ser(ser: float, sf: int) -> float:
 def binomial_ci_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
     """Normal-approximation confidence halfwidth for a proportion."""
     return z * np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n)
+
+
+def waveform_frozen_frame(
+    scheme: str,
+    channel: str,
+    sf: int,
+    sigma2: float,
+    payload_symbols: int,
+    rng: np.random.Generator,
+    cp_len: int = 0,
+    sample_rate_hz: float = 250e3,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frozen-channel frame simulated sample by sample: (tx, detected) symbols.
+
+    ``channel`` is ``awgn``, ``rayleigh-perfect`` or ``rayleigh-static-est``.
+    The full frame (preamble, prefixes, payload) passes one frozen flat fade
+    and AWGN; coherent schemes on a fading channel are equalized with the true
+    gain (genie) or the least-squares estimate from the averaged sync chirps.
+    """
+    spec = SCHEMES[scheme]
+    chan = CHANNELS[channel]
+    if not chan.frozen:
+        raise ValueError(f"{channel} is not a frozen channel")
+    sfo = SpreadingFactor(sf)
+    fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols, cp_len=cp_len)
+    tx = rng.integers(0, sfo.n, size=(payload_symbols, spec.streams))
+    y = build_frame(fcfg, tx, ModConfig(sfo, float(sfo.n)), scheme).signal
+    if chan.fading:
+        realization = tvfs_realization(y.size, FLAT_PROFILE, None, sample_rate_hz, rng)
+        y = apply_channel(y, realization)
+    y = apply_awgn(y, sigma2, rng)
+    sync_up, data = extract_regions(y, fcfg)
+    if spec.coherent and chan.fading:
+        if chan.genie:
+            h = complex(realization.gains[0, 0])
+        else:
+            h = ls_flat(average_sync(sync_up), raw_upchirp(sfo)).gain
+        data = equalize_flat(data, h)
+    return tx, spec.detect(data, sfo)

@@ -55,6 +55,23 @@ class TestLsFlat:
         var = np.mean(np.abs(errors) ** 2)
         assert_allclose(var, sigma2 / (8 * 128), rtol=0.10)
 
+    def test_averaged_sync_estimate_variance(self):
+        # the receiver's estimate: average 8 noisy sync chirps, project onto
+        # one up-chirp; its error is CN(0, sigma2 / (8N)), which frozen-channel
+        # frames draw directly
+        rng = np.random.default_rng(808)
+        n, h, sigma2 = 128, 0.4 + 0.9j, 1.7
+        up = raw_upchirp(7)
+        errors = np.empty(10_000, dtype=complex)
+        for i in range(errors.size):
+            sync = apply_awgn(h * np.tile(up, (8, 1)), sigma2, rng)
+            errors[i] = ls_flat(average_sync(sync), up).gain - h
+        want = sigma2 / (8 * n)
+        # 20,000 real degrees of freedom: the variance estimate's sd is 1%
+        assert_allclose(np.mean(np.abs(errors) ** 2), want, rtol=0.05)
+        assert_allclose(np.var(errors.real), want / 2, rtol=0.07)
+        assert_allclose(np.var(errors.imag), want / 2, rtol=0.07)
+
     def test_estimator_unbiased(self):
         rng = np.random.default_rng(1234)
         ref = preamble()

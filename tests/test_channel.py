@@ -5,6 +5,7 @@ from scipy.special import j0
 from scipy.stats import kstest
 
 from chirplink.channel import (
+    FLAT_PROFILE,
     ChannelRealization,
     DopplerSpec,
     NoiseSpec,
@@ -172,6 +173,14 @@ class TestFlatRayleigh:
         with pytest.raises(ValueError):
             flat_rayleigh(0, None, 250e3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frozen_gain_from_weights_equals_realization(self, seed):
+        # frozen-channel frames take their gain from the weight draw itself
+        rate = 250e3
+        real = tvfs_realization(1, FLAT_PROFILE, None, rate, np.random.default_rng(seed))
+        h = FLAT_PROFILE.lag_groups(rate).draw_weights(np.random.default_rng(seed)).sum()
+        assert h == real.gains[0, 0]
+
 
 class TestTapProfile:
     def test_bundled_urban_profile(self):
@@ -297,6 +306,20 @@ class TestTvfs:
         assert_array_equal(real.delays, [0, 1])
         assert_array_equal(lags, [0, 1])
         assert_allclose(real.gains, want, rtol=0, atol=1e-12)
+
+    def test_grouped_profile_gives_same_realization(self):
+        profile = urban_12tap_profile()
+        taps = profile.lag_groups(250e3)
+        assert_array_equal(taps.lags, [0, 1])
+        a = tvfs_realization(300, profile, 40.0, 250e3, np.random.default_rng(8))
+        b = tvfs_realization(300, taps, 40.0, 250e3, np.random.default_rng(8))
+        assert_array_equal(a.gains, b.gains)
+        assert_array_equal(a.delays, b.delays)
+
+    def test_grouping_at_another_rate_rejected(self):
+        taps = urban_12tap_profile().lag_groups(250e3)
+        with pytest.raises(ValueError, match="grouped at"):
+            tvfs_realization(300, taps, None, 1e6, np.random.default_rng(0))
 
     def test_repeated_delays_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -164,6 +164,13 @@ class TestRunBer:
         parallel = records_to_csv(run_ber(tiny_cfg(workers=2)))
         assert serial == parallel
 
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh-static-est"])
+    def test_prefix_does_not_change_frozen_channels(self, channel):
+        # frozen channels are drawn on the data spectra; no prefix is read
+        a = records_to_csv(run_ber(tiny_cfg(scheme="iqcss", channel=channel, cp_len=0)))
+        b = records_to_csv(run_ber(tiny_cfg(scheme="iqcss", channel=channel, cp_len=32)))
+        assert a == b
+
     def test_seed_changes_results(self):
         a = records_to_csv(run_ber(tiny_cfg(seed=1)))
         b = records_to_csv(run_ber(tiny_cfg(seed=2)))

@@ -201,3 +201,21 @@ def test_detect_batch_matches_single_symbol_demodulators():
         assert lora_demod_noncoherent(row, 7) == a
         assert lora_demod_coherent(row, 7) == b
         assert iqcss_demodulate(row, 7) == IqPair(c, d)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("sf", [6, 9])
+def test_spectrum_is_despread_dft_of_modulate(name, sf):
+    # includes k_i == k_q pairs for iqcss, whose two tones share one bin
+    scheme = SCHEMES[name]
+    cfg = ModConfig(SpreadingFactor(sf), 3.0 * (1 << sf))
+    rng = np.random.default_rng(sf)
+    ks = rng.integers(0, 1 << sf, size=(4, 50, scheme.streams))
+    ks[0, :, :] = ks[0, :, :1]
+    want = dft(despread(scheme.modulate(cfg, ks), sf))
+    assert_allclose(scheme.spectrum(cfg, ks), want, rtol=0, atol=1e-9 * (1 << sf))
+
+
+def test_spectrum_rejects_out_of_range_symbols():
+    with pytest.raises(ValueError):
+        SCHEMES["iqcss"].spectrum(mod7(), [[0, 128]])
