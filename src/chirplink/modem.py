@@ -90,14 +90,6 @@ class Scheme:
             raise ValueError(f"symbol outside 0..{n - 1}")
         return ks
 
-    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
-        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
-        n = cfg.sf.n
-        ks = self._symbols(n, symbols)
-        amp = np.sqrt(cfg.symbol_energy / (self.streams * n))
-        tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
-        return amp * self.combine(tones) * _upchirp_readonly(n)
-
     def spectrum(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Despread spectra ``dft(despread(modulate(cfg, symbols)))`` (..., N), built directly.
 
@@ -110,6 +102,14 @@ class Scheme:
         hot = np.zeros((ks.size, n))
         hot[np.arange(ks.size), ks.ravel()] = np.sqrt(cfg.symbol_energy * n / self.streams)
         return self.combine(hot.reshape(ks.shape + (n,)))
+
+    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
+        n = cfg.sf.n
+        ks = self._symbols(n, symbols)
+        amp = np.sqrt(cfg.symbol_energy / (self.streams * n))
+        tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
+        return amp * self.combine(tones) * _upchirp_readonly(n)
 
     def detect(self, rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
         """Decide the symbols (..., streams) carried by chirps ``rx`` (..., N)."""
