@@ -140,13 +140,11 @@ def waveform_frozen_frame(
     sigma2: float,
     payload_symbols: int,
     rng: np.random.Generator,
-    cp_len: int = 0,
-    sample_rate_hz: float = 250e3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One frozen-channel frame simulated sample by sample: (tx, detected) symbols.
 
     ``channel`` is ``awgn``, ``rayleigh-perfect`` or ``rayleigh-static-est``.
-    The full frame (preamble, prefixes, payload) passes one frozen flat fade
+    The full frame (preamble and payload) passes one frozen flat fade
     and AWGN; coherent schemes on a fading channel are equalized with the true
     gain (genie) or the least-squares estimate from the averaged sync chirps.
     """
@@ -155,11 +153,11 @@ def waveform_frozen_frame(
     if not chan.frozen:
         raise ValueError(f"{channel} is not a frozen channel")
     sfo = SpreadingFactor(sf)
-    fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols, cp_len=cp_len)
+    fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols)
     tx = rng.integers(0, sfo.n, size=(payload_symbols, spec.streams))
     y = build_frame(fcfg, tx, ModConfig(sfo, float(sfo.n)), scheme).signal
     if chan.fading:
-        realization = tvfs_realization(y.size, FLAT_PROFILE, None, sample_rate_hz, rng)
+        realization = tvfs_realization(y.size, FLAT_PROFILE, None, 250e3, rng)
         y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
