@@ -1,7 +1,7 @@
 """Stream-layout golden test: fixed-seed ``run_ber`` CSVs must keep their bytes.
 
-Every (channel, scheme) pair runs two Eb/N0 points of at most two sf7 frames,
-so a change to the per-frame random draw order, to the frame layout or to a
+Every (channel, scheme) pair runs two Eb/N0 points of at most two frames, once
+at sf7 and once at sf9, so a change to the per-frame random draw order, to the frame layout or to a
 detector shows up as a new SHA-256.  The table was recorded under stream
 version ``GOLDEN_STREAM_VERSION``; a deliberate stream change must bump
 ``chirplink.STREAM_VERSION`` and re-record the hashes it moves, together.
@@ -10,6 +10,7 @@ Stream version 1 hashes were recorded before the scheme and channel tables
 replaced the name-based dispatch.  Version 2 re-recorded only the 9 frozen
 channels (``awgn``, ``rayleigh-perfect``, ``rayleigh-static-est``), which now
 draw tx symbols, fade phases, the estimate error and the data noise bins.
+The sf9 table was added later under version 2.
 """
 
 import hashlib
@@ -42,18 +43,34 @@ GOLDEN_SHA256 = {
     ("tvfs-est", "iqcss"): "80491e88f62bbddd597dce428f6a03688ba2341069743331ab1ff7911a78dbee",
 }
 
+GOLDEN_SF9_SHA256 = {
+    ("awgn", "lora-noncoherent"): "88416da681e03a5ee4328dc6f3b35443185efb11717085c2af1e360b855106a4",
+    ("awgn", "lora-coherent"): "0d7e5506b1761c7e44cd58581acabe8ec9f1622bc11a6ad315a8c183e29d5d71",
+    ("awgn", "iqcss"): "cb827486b655154f8ab5c498550322891a9c9761eb5e880c632f672ff7418036",
+    ("rayleigh-perfect", "lora-noncoherent"): "df20c44176d292379970d3945a6549049c18e5ff84886f9759bf178aff235e8b",
+    ("rayleigh-perfect", "lora-coherent"): "6d4512f6c2bd3d3a52aebccbadbcc1b5901d0a9d438df029cacdf3ac198585f0",
+    ("rayleigh-perfect", "iqcss"): "451f3813151f1e1473bd3b1a197ebd0fb0382356bf3852242df13cdb11201b49",
+    ("rayleigh-static-est", "lora-noncoherent"): "df20c44176d292379970d3945a6549049c18e5ff84886f9759bf178aff235e8b",
+    ("rayleigh-static-est", "lora-coherent"): "93740bc5fa30e7a34044f004c4c3c7c56b831bbff7bf7cd03848c13c645707c5",
+    ("rayleigh-static-est", "iqcss"): "03618f6fd057553024df495e9379750c6d5b3e9924a696bb651ba46b69d02619",
+    ("rayleigh-mobile-est", "lora-noncoherent"): "f6dbb6df549544a1f65314dc737677c524a1c952a170cd52b310e0a238af8f87",
+    ("rayleigh-mobile-est", "lora-coherent"): "fbb906ab10ca5add201eb8ba5e699523d64c79c7ed35a9e6bafe0245e6e2c512",
+    ("rayleigh-mobile-est", "iqcss"): "17186989a0d72ddebd3329e49f6dbb1a9be45d76a376df215e3b9a4698dc134e",
+    ("tvfs-perfect", "lora-noncoherent"): "ed8884f4b009d6ed45897e07d702128a147732a6326380a823528c586f0074e8",
+    ("tvfs-perfect", "lora-coherent"): "54221005c5924109ffaefc13bfabe96b878cdb793efc99d1c86a49d7cb1d6ebf",
+    ("tvfs-perfect", "iqcss"): "e8440fd459e9eaf46fcc9c7659ac5f0effebcfa97dd082cca5e38ebb028cb2dd",
+    ("tvfs-est", "lora-noncoherent"): "ed8884f4b009d6ed45897e07d702128a147732a6326380a823528c586f0074e8",
+    ("tvfs-est", "lora-coherent"): "334dcce9cc664a77c53f400a5d0b0f2b56446de8c4bfd75a7b44ce08b2c37c94",
+    ("tvfs-est", "iqcss"): "52047016c6f5a3b12b911b2c1508504b59a3cd4aefd04caf8db654df9ee1481a",
+}
 
-def test_table_recorded_under_current_stream_version():
-    assert chirplink.STREAM_VERSION == GOLDEN_STREAM_VERSION
 
-
-@pytest.mark.parametrize("channel,scheme", sorted(GOLDEN_SHA256))
-def test_csv_bytes_match_golden(channel, scheme):
+def _csv_sha256(channel: str, scheme: str, sf: int) -> str:
     # 60 km/h so the mobile channel differs from the block-static one
     cfg = SimConfig(
         scheme=scheme,
         channel=channel,
-        sf_list=(7,),
+        sf_list=(sf,),
         axis_start=0.0,
         axis_step=10.0,
         axis_stop=10.0,
@@ -61,5 +78,18 @@ def test_csv_bytes_match_golden(channel, scheme):
         seed=2009,
         speed_kmh=60.0,
     )
-    csv = records_to_csv(run_ber(cfg))
-    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[(channel, scheme)]
+    return hashlib.sha256(records_to_csv(run_ber(cfg)).encode()).hexdigest()
+
+
+def test_table_recorded_under_current_stream_version():
+    assert chirplink.STREAM_VERSION == GOLDEN_STREAM_VERSION
+
+
+@pytest.mark.parametrize("channel,scheme", sorted(GOLDEN_SHA256))
+def test_csv_bytes_match_golden(channel, scheme):
+    assert _csv_sha256(channel, scheme, 7) == GOLDEN_SHA256[(channel, scheme)]
+
+
+@pytest.mark.parametrize("channel,scheme", sorted(GOLDEN_SF9_SHA256))
+def test_sf9_csv_bytes_match_golden(channel, scheme):
+    assert _csv_sha256(channel, scheme, 9) == GOLDEN_SF9_SHA256[(channel, scheme)]
