@@ -16,33 +16,29 @@ from .chirp import (
 )
 from .modem import (
     IqPair,
-    ModConfig,
     iqcss_demodulate,
     iqcss_modulate,
     lora_demod_coherent,
     lora_demod_noncoherent,
     lora_modulate,
 )
-from .framing import Frame, FrameConfig, average_sync, build_frame, extract_regions
+from .framing import FrameConfig, average_sync, build_frame, extract_regions
 from .channel import (
     ChannelRealization,
-    DopplerSpec,
-    NoiseSpec,
     TapProfile,
     apply_awgn,
     apply_channel,
     bits_per_symbol,
     ebn0_db_to_snr_db,
     ebn0_to_sigma2,
-    flat_rayleigh,
     load_tap_profile,
+    max_doppler_hz,
     snr_db_to_ebn0_db,
     snr_to_sigma2,
     tvfs_realization,
     urban_12tap_profile,
 )
 from .chanest import (
-    FlatEstimate,
     ImpulseEstimate,
     equalize_fd,
     equalize_flat,

@@ -9,23 +9,13 @@ scaled identity), undone per DFT bin.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
-
-
-@dataclass(frozen=True)
-class FlatEstimate:
-    """Single complex channel gain."""
-
-    gain: complex
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.gain):
-            raise ValueError("channel gain must be finite")
 
 
 @dataclass(frozen=True)
@@ -50,7 +40,7 @@ class ImpulseEstimate:
         return np.fft.fft(self.taps)
 
 
-def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> FlatEstimate:
+def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> complex:
     """Least-squares gain: project the received preamble onto the known one."""
     rx = np.asarray(preamble_rx, dtype=np.complex128)
     ref = np.asarray(preamble_ref, dtype=np.complex128)
@@ -59,7 +49,7 @@ def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> FlatEstimate:
     energy = np.vdot(ref, ref).real
     if energy == 0.0:
         raise ValueError("reference preamble has zero energy")
-    return FlatEstimate(gain=complex(np.vdot(ref, rx) / energy))
+    return complex(np.vdot(ref, rx) / energy)
 
 
 def ls_selective(y_bar: np.ndarray, sf: int | SpreadingFactor) -> ImpulseEstimate:
@@ -78,12 +68,16 @@ def ls_selective(y_bar: np.ndarray, sf: int | SpreadingFactor) -> ImpulseEstimat
     return ImpulseEstimate(taps)
 
 
-def equalize_flat(x: np.ndarray, est: FlatEstimate | complex) -> np.ndarray:
-    """Zero-forcing single-tap equalizer: multiply by conj(h)/|h|^2."""
-    h = est.gain if isinstance(est, FlatEstimate) else complex(est)
-    if h == 0:
-        raise ValueError("cannot equalize with a zero channel gain")
-    return np.asarray(x) * (np.conj(h) / abs(h) ** 2)
+def equalize_flat(x: np.ndarray, h: complex) -> np.ndarray:
+    """Zero-forcing single-tap equalizer: multiply by conj(h)/|h|^2.
+
+    ``ValueError`` unless that factor, ``conj(h) * (1 / |h|^2)``, is finite.
+    """
+    h = complex(h)
+    mag2 = abs(h) ** 2
+    if not (0.0 < mag2 < math.inf and 1.0 / mag2 < math.inf):
+        raise ValueError(f"cannot equalize with channel gain {h}")
+    return np.asarray(x) * (np.conj(h) / mag2)
 
 
 def equalize_fd(

@@ -1,11 +1,12 @@
 """Channel models (AWGN and one fading tapped delay line) and SNR/Eb-N0
 bookkeeping.
 
-Noise level conventions, with ``es`` the energy per chirp symbol and
-``n = 2**sf`` samples per chirp:
+Noise level conventions, for chirps of energy ``n = 2**sf`` (unit power per
+sample, see :mod:`chirplink.modem`) and ``sigma2`` the total complex noise
+variance per sample:
 
-* per-sample SNR: ``snr = es / (n * sigma2)`` (signal power per sample over
-  total complex noise variance per sample);
+* per-sample SNR: ``snr = 1 / sigma2`` (signal power per sample over noise
+  variance per sample);
 * energy per bit: ``ebn0 = snr * n / bits_per_symbol`` where a chirp carries
   ``sf`` bits (single-stream schemes) or ``2*sf`` bits (I/Q scheme).
 
@@ -19,6 +20,7 @@ phases per tap, classical Doppler spectrum of maximum frequency ``v * fc / c``.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +40,6 @@ JAKES_SINUSOIDS = 64
 _ARRIVAL_COS = np.cos(2.0 * np.pi * (np.arange(JAKES_SINUSOIDS) + 0.5) / JAKES_SINUSOIDS)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Total complex noise variance per sample (half in each quadrature)."""
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.variance) and self.variance >= 0):
-            raise ValueError(f"noise variance must be finite and >= 0, got {self.variance}")
-
-
 def bits_per_symbol(sf: int, scheme: str) -> int:
     """Bits carried by one chirp: ``sf`` per data stream of the named scheme."""
     return get_scheme(scheme).streams * sf
@@ -66,56 +57,46 @@ def snr_db_to_ebn0_db(snr_db: float, sf: int, scheme: str) -> float:
     return snr_db - 10.0 * np.log10(bits_per_symbol(sf, scheme) / n)
 
 
-def _db_to_linear(db: float, es: float) -> float:
-    if es <= 0:
-        raise ValueError("symbol energy must be positive")
+def _db_to_linear(db: float) -> float:
     if not np.isfinite(db):
         raise ValueError(f"dB value must be finite, got {db}")
     return 10.0 ** (db / 10.0)
 
 
-def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str, es: float) -> NoiseSpec:
-    """Noise variance that realises ``ebn0_db`` for symbols of energy ``es``."""
-    ebn0 = _db_to_linear(ebn0_db, es)
-    return NoiseSpec(es / (bits_per_symbol(sf, scheme) * ebn0))
+def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str) -> float:
+    """Noise variance that realises ``ebn0_db`` for chirps of energy ``N``."""
+    ebn0 = _db_to_linear(ebn0_db)
+    return float(1 << sf) / (bits_per_symbol(sf, scheme) * ebn0)
 
 
-def snr_to_sigma2(snr_db: float, sf: int, es: float) -> NoiseSpec:
-    """Noise variance that realises a per-sample SNR for symbols of energy ``es``."""
-    snr = _db_to_linear(snr_db, es)
-    return NoiseSpec(es / ((1 << sf) * snr))
+def snr_to_sigma2(snr_db: float, sf: int) -> float:
+    """Noise variance that realises a per-sample SNR for chirps of energy ``N``."""
+    snr = _db_to_linear(snr_db)
+    return float(1 << sf) / ((1 << sf) * snr)
 
 
-def apply_awgn(
-    x: np.ndarray, noise: NoiseSpec | float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add circular complex Gaussian noise of the given total variance."""
-    sigma2 = noise.variance if isinstance(noise, NoiseSpec) else float(noise)
+def apply_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Add circular complex Gaussian noise of total variance ``sigma2`` per sample.
+
+    ``sigma2`` must be finite and >= 0; half of it goes to each quadrature.
+    """
+    sigma2 = float(sigma2)
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     x = np.asarray(x, dtype=np.complex128)
     if sigma2 == 0.0:
         return x.copy()
-    w = rng.standard_normal((2, x.size))
-    return x + np.sqrt(sigma2 / 2.0) * (w[0] + 1j * w[1]).reshape(x.shape)
+    w = rng.standard_normal((2,) + x.shape)
+    w *= np.sqrt(sigma2 / 2.0)
+    y = np.empty(x.shape, dtype=np.complex128)
+    y.real, y.imag = w
+    y += x
+    return y
 
 
-@dataclass(frozen=True)
-class DopplerSpec:
-    """Mobility description; the maximum Doppler shift is ``v * fc / c``."""
-
-    speed_kmh: float
-    carrier_hz: float
-
-    @property
-    def max_doppler_hz(self) -> float:
-        return (self.speed_kmh / 3.6) * self.carrier_hz / SPEED_OF_LIGHT_M_S
-
-
-def _max_doppler(doppler: DopplerSpec | float | None) -> float:
-    if doppler is None:
-        return 0.0
-    if isinstance(doppler, DopplerSpec):
-        return doppler.max_doppler_hz
-    return float(doppler)
+def max_doppler_hz(speed_kmh: float, carrier_hz: float) -> float:
+    """Maximum Doppler shift ``v * fc / c`` of a receiver moving at ``speed_kmh``."""
+    return (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT_M_S
 
 
 @dataclass(frozen=True)
@@ -257,51 +238,26 @@ class ChannelRealization:
 
 
 def tvfs_realization(
-    frame_len: int,
-    profile: TapProfile | TapLags,
-    doppler: DopplerSpec | float | None,
-    sample_rate_hz: float,
-    rng: np.random.Generator,
+    frame_len: int, taps: TapLags, max_doppler_hz: float, rng: np.random.Generator
 ) -> ChannelRealization:
     """Multipath realization: every physical tap fades independently.
 
-    Each tap draws its own ``JAKES_SINUSOIDS`` phases, in profile order.  All
-    taps share one Doppler grid, so the taps that round to the same sample lag
-    fold into one sum-of-sinusoids (:meth:`TapLags.draw_weights`).  With zero
-    Doppler each lag's gain is the constant sum of its weights.  ``profile``
-    may be grouped already, by ``profile.lag_groups(sample_rate_hz)``.
+    It is sampled at ``taps.sample_rate_hz``.  Each tap draws its own
+    ``JAKES_SINUSOIDS`` phases, in profile order.  All taps share one Doppler
+    grid, so the taps that round to the same sample lag fold into one
+    sum-of-sinusoids (:meth:`TapLags.draw_weights`).  With zero Doppler each
+    lag's gain is the constant sum of its weights.  Flat Rayleigh fading is the
+    one-tap ``FLAT_PROFILE.lag_groups(rate)``.
     """
     if frame_len <= 0:
         raise ValueError("frame length must be positive")
-    taps = profile if isinstance(profile, TapLags) else profile.lag_groups(sample_rate_hz)
-    if taps.sample_rate_hz != sample_rate_hz:
-        raise ValueError(
-            f"taps grouped at {taps.sample_rate_hz:g} Hz, realization asked at {sample_rate_hz:g} Hz"
-        )
-    fd = _max_doppler(doppler)
     weights = taps.draw_weights(rng)
-    if fd == 0.0:
+    if max_doppler_hz == 0.0:
         gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (taps.lags.size, frame_len))
     else:
-        omegas = 2.0 * np.pi * fd * _ARRIVAL_COS
-        gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / sample_rate_hz, frame_len)
+        omegas = 2.0 * np.pi * max_doppler_hz * _ARRIVAL_COS
+        gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / taps.sample_rate_hz, frame_len)
     return ChannelRealization(delays=taps.lags, gains=gains)
-
-
-def flat_rayleigh(
-    frame_len: int,
-    doppler: DopplerSpec | float | None,
-    sample_rate_hz: float,
-    rng: np.random.Generator,
-) -> ChannelRealization:
-    """Single-tap Rayleigh channel with unit average power: the one-tap profile.
-
-    ``doppler=None`` (zero Doppler) freezes one draw for the whole frame;
-    otherwise the gain evolves per sample under the classical Doppler spectrum.
-    The harness makes the same draw on ``FLAT_PROFILE``: a frozen gain is the
-    sum of :meth:`TapLags.draw_weights`, a moving one :func:`tvfs_realization`.
-    """
-    return tvfs_realization(frame_len, FLAT_PROFILE, doppler, sample_rate_hz, rng)
 
 
 def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:

@@ -17,7 +17,7 @@ import typing
 import numpy as np
 
 from .chirp import SpreadingFactor, VALID_SF, raw_upchirp, despread, dft
-from .modem import SCHEMES, ModConfig, lora_modulate
+from .modem import SCHEMES, lora_modulate
 from .channel import apply_awgn, snr_to_sigma2
 from .harness import CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, write_csv
 from .plotting import plot_records_svg
@@ -152,7 +152,6 @@ def _loopback_ok(scheme_name: str, sf_int: int, trials: int) -> bool:
     scheme = SCHEMES[scheme_name]
     sf = SpreadingFactor(sf_int)
     n = sf.n
-    mod = ModConfig(sf, float(n))
     rng = np.random.default_rng(sf_int)
     if sf_int <= 8:
         symbols = np.arange(n)
@@ -160,7 +159,7 @@ def _loopback_ok(scheme_name: str, sf_int: int, trials: int) -> bool:
         symbols = rng.integers(0, n, size=trials)
     partners = rng.integers(0, n, size=(symbols.size, scheme.streams - 1))
     symbols = np.column_stack([symbols, partners])
-    return all(np.array_equal(scheme.detect(scheme.modulate(mod, k), sf), k) for k in symbols)
+    return all(np.array_equal(scheme.detect(scheme.modulate(sf, k), sf), k) for k in symbols)
 
 
 def _cmd_loopback(args: argparse.Namespace) -> int:
@@ -193,10 +192,10 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
     if args.symbol is None:
         signal = raw_upchirp(sf)
     else:
-        signal = lora_modulate(ModConfig(sf, float(sf.n)), args.symbol)
+        signal = lora_modulate(sf, args.symbol)
     if args.snr_db is not None:
-        noise = snr_to_sigma2(args.snr_db, sf.sf, float(sf.n))
-        signal = apply_awgn(signal, noise, np.random.default_rng(args.seed))
+        sigma2 = snr_to_sigma2(args.snr_db, sf.sf)
+        signal = apply_awgn(signal, sigma2, np.random.default_rng(args.seed))
     if args.what == "spectrum":
         values = dft(despread(signal, sf))
         header = "bin,re,im"

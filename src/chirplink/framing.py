@@ -1,9 +1,9 @@
 """Over-the-air frame layout: sync preamble, optional cyclic prefixes, payload.
 
 A frame is 8 up-chirps and 2 down-chirps at unit amplitude followed by the
-payload chirps.  With ``cp_len > 0`` every chirp (sync chirps included) is
-preceded by a copy of its own last ``cp_len`` samples, so multipath within
-the prefix appears circular after prefix removal.
+payload chirps, all of energy N.  With ``cp_len > 0`` every chirp (sync
+chirps included) is preceded by a copy of its own last ``cp_len`` samples, so
+multipath within the prefix appears circular after prefix removal.
 
 :class:`FrameConfig` is the only description of the layout: a frame is one
 ``(total_chirps, samples_per_chirp)`` grid, prefix columns first, laid out
@@ -14,13 +14,13 @@ array views.  Time alignment is assumed perfect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
-from .modem import ModConfig, get_scheme
+from .modem import get_scheme
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -53,29 +53,15 @@ class FrameConfig:
         return self.total_chirps * self.samples_per_chirp
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Concrete frame: the sample buffer and the config that lays it out."""
+def build_frame(cfg: FrameConfig, payload: Sequence, scheme: str) -> np.ndarray:
+    """Frame samples: preamble + payload chirps, each with its cyclic prefix.
 
-    signal: np.ndarray
-    config: FrameConfig = field(repr=False)
-
-
-def build_frame(
-    cfg: FrameConfig,
-    payload: Sequence,
-    mod: ModConfig,
-    scheme: str,
-) -> Frame:
-    """Assemble preamble + payload chirps, each with its cyclic prefix.
-
-    ``payload`` holds one integer per chirp for the single-stream schemes or
-    (k_i, k_q) pairs for ``"iqcss"``; its length must equal
-    ``cfg.payload_symbols``.  ``scheme`` is a :data:`~chirplink.modem.SCHEMES` name.
+    Every chirp has energy N (unit power per sample).  ``payload`` holds one
+    integer per chirp for the single-stream schemes or (k_i, k_q) pairs for
+    ``"iqcss"``; its length must equal ``cfg.payload_symbols``.  ``scheme`` is
+    a :data:`~chirplink.modem.SCHEMES` name.
     """
     scheme = get_scheme(scheme)
-    if mod.sf != cfg.sf:
-        raise ValueError("modulator and frame spreading factors differ")
     if len(payload) != cfg.payload_symbols:
         raise ValueError(
             f"payload has {len(payload)} symbols, config expects {cfg.payload_symbols}"
@@ -88,10 +74,10 @@ def build_frame(
     body[: cfg.n_sync_up] = up
     body[cfg.n_sync_up : first_data] = np.conj(up)
     body[first_data:] = scheme.modulate(
-        mod, np.reshape(payload, (cfg.payload_symbols, scheme.streams))
+        cfg.sf, np.reshape(payload, (cfg.payload_symbols, scheme.streams))
     )
     grid[:, :cp] = body[:, n - cp :]
-    return Frame(signal=grid.ravel(), config=cfg)
+    return grid.ravel()
 
 
 def extract_regions(

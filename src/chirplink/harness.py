@@ -23,13 +23,12 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .chirp import SpreadingFactor, VALID_SF, _upchirp_readonly
-from .modem import SCHEMES, ModConfig
+from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
 from .chanest import ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
 from .channel import (
     FLAT_PROFILE,
     ChannelRealization,
-    DopplerSpec,
     TapLags,
     TapProfile,
     apply_awgn,
@@ -37,6 +36,7 @@ from .channel import (
     bits_per_symbol,
     ebn0_to_sigma2,
     load_tap_profile,
+    max_doppler_hz,
     snr_to_sigma2,
     tvfs_realization,
     urban_12tap_profile,
@@ -173,6 +173,8 @@ class SimConfig:
                     f"channel {self.channel} needs cp_len >= {max_delay} "
                     f"(longest tap delay at {self.bandwidth_hz:g} Hz), got {cp}"
                 )
+        elif self.tap_profile is not None:
+            raise ConfigError(f"channel {self.channel} has no multipath to use tap_profile")
 
 
 @dataclass(frozen=True)
@@ -280,16 +282,14 @@ def _sim_frame(
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
-    # Unit-amplitude chirps, like the preamble: symbol energy N.
-    mod = ModConfig(sf, float(sf.n))
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cfg.resolved_cp_len())
 
     # Draw order is part of the stream layout: tx symbols, fading phases, noise.
     tx = rng.integers(0, sf.n, size=(cfg.payload_symbols, scheme.streams))
-    frame = build_frame(fcfg, tx, mod, cfg.scheme)
-    doppler = DopplerSpec(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else None
-    realization = tvfs_realization(frame.signal.size, taps, doppler, cfg.bandwidth_hz, rng)
-    y = apply_awgn(apply_channel(frame.signal, realization), sigma2, rng)
+    frame = build_frame(fcfg, tx, cfg.scheme)
+    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
+    realization = tvfs_realization(frame.size, taps, fd, rng)
+    y = apply_awgn(apply_channel(frame, realization), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent:
         data = _equalize(channel, fcfg, realization, sync_up, data)
@@ -314,28 +314,23 @@ def _frozen_frame(
 
     # Draw order is stream version 2: tx symbols, fade phases, estimate error, noise bins.
     tx = rng.integers(0, n, size=(cfg.payload_symbols, scheme.streams))
-    spectra = scheme.spectrum(ModConfig(SpreadingFactor(sf_int), float(n)), tx)
+    spectra = scheme.spectrum(sf_int, tx)
     if channel.fading:
         h = h_est = complex(taps.draw_weights(rng).sum())
         if scheme.coherent and not channel.genie:
             err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
             h_est = h + complex(err[0], err[1])
         spectra = h * spectra
-    w = rng.standard_normal((2, cfg.payload_symbols, n))
-    w *= math.sqrt(n * sigma2 / 2)
-    rx = np.empty(spectra.shape, dtype=np.complex128)
-    rx.real, rx.imag = w
-    rx += spectra
+    rx = apply_awgn(spectra, n * sigma2, rng)
     if channel.fading and scheme.coherent:
         rx = equalize_flat(rx, h_est)
     return _errors(tx, scheme.decide(rx), sf_int)
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
-    es = float(1 << sf)
     if cfg.axis == "ebn0":
-        return ebn0_to_sigma2(axis_db, sf, cfg.scheme, es).variance
-    return snr_to_sigma2(axis_db, sf, es).variance
+        return ebn0_to_sigma2(axis_db, sf, cfg.scheme)
+    return snr_to_sigma2(axis_db, sf)
 
 
 def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) -> SimRecord:

@@ -7,6 +7,9 @@ Two signal formats are supported:
   (coherent) of the despread spectrum;
 * in-phase/quadrature chirp ("iqcss"): two independent symbols per chirp,
   one on the real and one on the imaginary component, detected coherently.
+
+Every chirp has energy ``N`` (unit power per sample), the energy of the
+unit-amplitude sync chirps.
 """
 
 from __future__ import annotations
@@ -25,18 +28,6 @@ class IqPair(NamedTuple):
 
     k_i: int
     k_q: int
-
-
-@dataclass(frozen=True)
-class ModConfig:
-    """Modulator settings: spreading factor and energy per chirp symbol."""
-
-    sf: SpreadingFactor
-    symbol_energy: float
-
-    def __post_init__(self) -> None:
-        if self.symbol_energy <= 0:
-            raise ValueError("symbol energy must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -90,24 +81,24 @@ class Scheme:
             raise ValueError(f"symbol outside 0..{n - 1}")
         return ks
 
-    def spectrum(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
-        """Despread spectra ``dft(despread(modulate(cfg, symbols)))`` (..., N), built directly.
+    def spectrum(self, sf: int | SpreadingFactor, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Despread spectra ``dft(despread(modulate(sf, symbols)))`` (..., N), built directly.
 
-        Each tone of amplitude ``sqrt(Es / (streams * N))`` despreads to one
-        bin of height ``sqrt(Es * N / streams)``: the in-phase stream's bin is
-        real and the quadrature stream's imaginary.
+        Each tone of amplitude ``sqrt(1 / streams)`` despreads to one bin of
+        height ``N / sqrt(streams)``: the in-phase stream's bin is real and the
+        quadrature stream's imaginary.
         """
-        n = cfg.sf.n
+        n = as_spreading_factor(sf).n
         ks = self._symbols(n, symbols)
         hot = np.zeros((ks.size, n))
-        hot[np.arange(ks.size), ks.ravel()] = np.sqrt(cfg.symbol_energy * n / self.streams)
+        hot[np.arange(ks.size), ks.ravel()] = np.sqrt(n * n / self.streams)
         return self.combine(hot.reshape(ks.shape + (n,)))
 
-    def modulate(self, cfg: ModConfig, symbols: np.ndarray | Sequence) -> np.ndarray:
-        """Chirps of energy ``cfg.symbol_energy`` carrying ``symbols`` (..., streams)."""
-        n = cfg.sf.n
+    def modulate(self, sf: int | SpreadingFactor, symbols: np.ndarray | Sequence) -> np.ndarray:
+        """Chirps of energy ``N`` carrying ``symbols`` (..., streams)."""
+        n = as_spreading_factor(sf).n
         ks = self._symbols(n, symbols)
-        amp = np.sqrt(cfg.symbol_energy / (self.streams * n))
+        amp = np.sqrt(1.0 / self.streams)
         tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
         return amp * self.combine(tones) * _upchirp_readonly(n)
 
@@ -139,18 +130,18 @@ def _one_chirp(rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
     return rx
 
 
-def lora_modulate(cfg: ModConfig, k: int) -> np.ndarray:
-    """Chirp-FSK waveform: tone at bin ``k`` spread by the up-chirp, energy Es."""
-    return SCHEMES["lora-noncoherent"].modulate(cfg, [k])
+def lora_modulate(sf: int | SpreadingFactor, k: int) -> np.ndarray:
+    """Chirp-FSK waveform: tone at bin ``k`` spread by the up-chirp, energy N."""
+    return SCHEMES["lora-noncoherent"].modulate(sf, [k])
 
 
-def iqcss_modulate(cfg: ModConfig, pair: IqPair | Sequence[int]) -> np.ndarray:
+def iqcss_modulate(sf: int | SpreadingFactor, pair: IqPair | Sequence[int]) -> np.ndarray:
     """Two tones on the in-phase and quadrature components of one chirp.
 
-    Per-symbol energy equals ``symbol_energy`` for every pair, including the
-    degenerate ``k_i == k_q`` case where the envelope is flat at ``sqrt(2)``.
+    The chirp's energy is ``N`` for every pair, including the degenerate
+    ``k_i == k_q`` case where the envelope is flat at unit amplitude.
     """
-    return SCHEMES["iqcss"].modulate(cfg, pair)
+    return SCHEMES["iqcss"].modulate(sf, pair)
 
 
 def lora_demod_noncoherent(rx: np.ndarray, sf: int | SpreadingFactor) -> int:

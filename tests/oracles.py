@@ -25,7 +25,7 @@ from chirplink.channel import FLAT_PROFILE, apply_awgn, apply_channel, tvfs_real
 from chirplink.chirp import SpreadingFactor, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.harness import CHANNELS
-from chirplink.modem import SCHEMES, ModConfig
+from chirplink.modem import SCHEMES
 
 mp.mp.dps = 60
 
@@ -155,9 +155,9 @@ def waveform_frozen_frame(
     sfo = SpreadingFactor(sf)
     fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols)
     tx = rng.integers(0, sfo.n, size=(payload_symbols, spec.streams))
-    y = build_frame(fcfg, tx, ModConfig(sfo, float(sfo.n)), scheme).signal
+    y = build_frame(fcfg, tx, scheme)
     if chan.fading:
-        realization = tvfs_realization(y.size, FLAT_PROFILE, None, 250e3, rng)
+        realization = tvfs_realization(y.size, FLAT_PROFILE.lag_groups(250e3), 0.0, rng)
         y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
@@ -165,6 +165,6 @@ def waveform_frozen_frame(
         if chan.genie:
             h = complex(realization.gains[0, 0])
         else:
-            h = ls_flat(average_sync(sync_up), raw_upchirp(sfo)).gain
+            h = ls_flat(average_sync(sync_up), raw_upchirp(sfo))
         data = equalize_flat(data, h)
     return tx, spec.detect(data, sfo)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chirplink.chanest import ls_flat, ls_selective
-from chirplink.channel import apply_awgn, ebn0_to_sigma2, flat_rayleigh
+from chirplink.channel import FLAT_PROFILE, apply_awgn, ebn0_to_sigma2, tvfs_realization
 from chirplink.chirp import SpreadingFactor, raw_upchirp
 from chirplink.framing import FrameConfig, build_frame, extract_regions
 from chirplink.harness import (
@@ -23,7 +23,6 @@ from chirplink.harness import (
 from chirplink.modem import (
     SCHEMES,
     IqPair,
-    ModConfig,
     iqcss_demodulate,
     iqcss_modulate,
     lora_demod_coherent,
@@ -63,18 +62,17 @@ def test_criterion_1_exact_loopback():
     rng = np.random.default_rng(1)
     for sf in ALL_SF:
         n = 2**sf
-        cfg = ModConfig(SpreadingFactor(sf), float(n))
         ks = np.arange(n) if sf <= 8 else rng.integers(0, n, size=1000)
         for k in ks:
             k = int(k)
-            x = lora_modulate(cfg, k)
+            x = lora_modulate(sf, k)
             if lora_demod_noncoherent(x, sf) != k or lora_demod_coherent(x, sf) != k:
                 failures.append((sf, k))
         n_pairs = 10_000 if sf <= 8 else 1000
         pairs = rng.integers(0, n, size=(n_pairs, 2))
         for k_i, k_q in pairs:
             pair = IqPair(int(k_i), int(k_q))
-            if iqcss_demodulate(iqcss_modulate(cfg, pair), sf) != pair:
+            if iqcss_demodulate(iqcss_modulate(sf, pair), sf) != pair:
                 failures.append((sf, pair))
     report(1, not failures, f"noiseless loopback identity, sf 6..12 ({failures[:3]})"
            if failures else "noiseless loopback identity holds for sf 6..12, all detectors")
@@ -222,7 +220,7 @@ def test_criterion_6_ls_estimation():
     ref = np.tile(raw_upchirp(7), 8)
 
     # noiseless estimates are exact
-    flat_err = abs(ls_flat((0.3 - 1.2j) * ref, ref).gain - (0.3 - 1.2j))
+    flat_err = abs(ls_flat((0.3 - 1.2j) * ref, ref) - (0.3 - 1.2j))
     taps = np.array([0.7, 0.0, 0.2j, -0.1])
     y = circular_convolve(raw_upchirp(7), taps)
     est = ls_selective(y, 7).taps
@@ -235,7 +233,7 @@ def test_criterion_6_ls_estimation():
     sigma2, h = 1.3, 0.9 + 0.4j
     errors = np.empty(10_000, dtype=complex)
     for i in range(errors.size):
-        errors[i] = ls_flat(apply_awgn(h * ref, sigma2, rng), ref).gain - h
+        errors[i] = ls_flat(apply_awgn(h * ref, sigma2, rng), ref) - h
     var = float(np.mean(np.abs(errors) ** 2))
     want_var = sigma2 / (8 * 128)
     ok_var = abs(var - want_var) / want_var < 0.10
@@ -265,20 +263,19 @@ def _paired_rayleigh_ber(ebn0_db: float, n_frames: int, seed: int) -> tuple[floa
     sf = SpreadingFactor(7)
     n = sf.n
     fcfg = FrameConfig(sf=sf)
-    mod = ModConfig(sf, float(n))
     ref = np.tile(raw_upchirp(7), 8)
-    sigma2 = ebn0_to_sigma2(ebn0_db, 7, "iqcss", float(n)).variance
+    sigma2 = ebn0_to_sigma2(ebn0_db, 7, "iqcss")
     bits = 0
     errs_genie = errs_est = 0
     for i in range(n_frames):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         tx = rng.integers(0, n, size=(fcfg.payload_symbols, 2))
-        frame = build_frame(fcfg, tx, mod, "iqcss")
-        h = flat_rayleigh(frame.signal.size, None, 250e3, rng).gains[0, 0]
-        y = apply_awgn(h * frame.signal, sigma2, rng)
+        frame = build_frame(fcfg, tx, "iqcss")
+        h = tvfs_realization(frame.size, FLAT_PROFILE.lag_groups(250e3), 0.0, rng).gains[0, 0]
+        y = apply_awgn(h * frame, sigma2, rng)
         sync_up, data = extract_regions(y, fcfg)
         data_mat = np.asarray(data)
-        h_est = ls_flat(np.concatenate(sync_up), ref).gain
+        h_est = ls_flat(np.concatenate(sync_up), ref)
         for h_used, which in ((h, "genie"), (h_est, "est")):
             eq = data_mat * (np.conj(h_used) / abs(h_used) ** 2)
             rx_i, rx_q = SCHEMES["iqcss"].detect(eq, sf).T
@@ -350,11 +347,10 @@ def test_criterion_9_backwards_compatible_receiver():
     total = 0
     for sf in ALL_SF:
         n = 2**sf
-        cfg = ModConfig(SpreadingFactor(sf), float(n))
         ks = np.arange(n) if sf <= 8 else rng.integers(0, n, size=1000)
         for k in ks:
             total += 1
-            if iqcss_demodulate(lora_modulate(cfg, int(k)), sf).k_i != int(k):
+            if iqcss_demodulate(lora_modulate(sf, int(k)), sf).k_i != int(k):
                 bad += 1
     report(9, bad == 0, f"I/Q receiver recovered {total - bad}/{total} single-stream symbols")
 

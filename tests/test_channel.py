@@ -7,16 +7,14 @@ from scipy.stats import kstest
 from chirplink.channel import (
     FLAT_PROFILE,
     ChannelRealization,
-    DopplerSpec,
-    NoiseSpec,
     TapProfile,
     apply_awgn,
     apply_channel,
     bits_per_symbol,
     ebn0_db_to_snr_db,
     ebn0_to_sigma2,
-    flat_rayleigh,
     load_tap_profile,
+    max_doppler_hz,
     snr_db_to_ebn0_db,
     snr_to_sigma2,
     tvfs_realization,
@@ -59,42 +57,42 @@ class TestNoiseBookkeeping:
         with pytest.raises(ValueError):
             ebn0_db_to_snr_db(5.0, 7, scheme)
         with pytest.raises(ValueError):
-            ebn0_to_sigma2(5.0, 7, scheme, 128.0)
+            ebn0_to_sigma2(5.0, 7, scheme)
 
     def test_sigma2_consistency(self):
-        es = 128.0
-        spec = ebn0_to_sigma2(4.0, 7, "lora-coherent", es)
-        # realized SNR must match the axis conversion
-        snr_db = 10 * np.log10(es / (128 * spec.variance))
+        sigma2 = ebn0_to_sigma2(4.0, 7, "lora-coherent")
+        # realized SNR must match the axis conversion; chirps of energy N
+        # have unit power per sample
+        snr_db = 10 * np.log10(1 / sigma2)
         assert_allclose(snr_db, ebn0_db_to_snr_db(4.0, 7, "lora-coherent"), rtol=1e-12)
-        spec_snr = snr_to_sigma2(snr_db, 7, es)
-        assert_allclose(spec_snr.variance, spec.variance, rtol=1e-12)
+        assert_allclose(snr_to_sigma2(snr_db, 7), sigma2, rtol=1e-12)
 
     def test_sigma2_monotone_in_ebn0(self):
-        values = [ebn0_to_sigma2(db, 7, "iqcss", 128.0).variance for db in range(-5, 15)]
+        values = [ebn0_to_sigma2(db, 7, "iqcss") for db in range(-5, 15)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    # apply_awgn takes the variance as a bare float and checks it itself
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            apply_awgn(raw_upchirp(7), -1.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("variance", [np.nan, np.inf])
     def test_non_finite_variance_rejected(self, variance):
-        with pytest.raises(ValueError):
-            NoiseSpec(variance)
+        with pytest.raises(ValueError, match="finite"):
+            apply_awgn(raw_upchirp(7), variance, np.random.default_rng(0))
 
     @pytest.mark.parametrize("db", [-np.inf, np.nan, np.inf])
     def test_non_finite_db_rejected(self, db):
         with pytest.raises(ValueError, match="finite"):
-            snr_to_sigma2(db, 7, 128.0)
+            snr_to_sigma2(db, 7)
         with pytest.raises(ValueError, match="finite"):
-            ebn0_to_sigma2(db, 7, "iqcss", 128.0)
+            ebn0_to_sigma2(db, 7, "iqcss")
 
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
         x = raw_upchirp(7)
-        out = apply_awgn(x, NoiseSpec(0.0), np.random.default_rng(0))
+        out = apply_awgn(x, 0.0, np.random.default_rng(0))
         assert_array_equal(out, x)
         assert out is not x
 
@@ -119,35 +117,37 @@ class TestAwgn:
 
 class TestDoppler:
     def test_tabulated_mobility(self):
-        dop = DopplerSpec(speed_kmh=0.1, carrier_hz=863e6)
-        assert_allclose(dop.max_doppler_hz, 0.0799627, atol=1e-6)
+        assert_allclose(max_doppler_hz(speed_kmh=0.1, carrier_hz=863e6), 0.0799627, atol=1e-6)
 
     def test_scales_linearly_with_speed(self):
         assert_allclose(
-            DopplerSpec(1.0, 863e6).max_doppler_hz,
-            10 * DopplerSpec(0.1, 863e6).max_doppler_hz,
-            rtol=1e-12,
+            max_doppler_hz(1.0, 863e6), 10 * max_doppler_hz(0.1, 863e6), rtol=1e-12
         )
+
+
+def flat_fade(frame_len, fd, rate, rng):
+    """Flat Rayleigh fading: the one-tap profile's realization."""
+    return tvfs_realization(frame_len, FLAT_PROFILE.lag_groups(rate), fd, rng)
 
 
 class TestFlatRayleigh:
     def test_zero_doppler_gain_is_constant(self):
         rng = np.random.default_rng(3)
-        real = flat_rayleigh(1000, None, 250e3, rng)
+        real = flat_fade(1000, 0.0, 250e3, rng)
         assert np.all(real.gains[0] == real.gains[0, 0])
         assert real.gains.strides[1] == 0
 
     def test_unit_average_power(self):
         rng = np.random.default_rng(17)
         draws = np.array(
-            [flat_rayleigh(1, None, 250e3, rng).gains[0, 0] for _ in range(100_000)]
+            [flat_fade(1, 0.0, 250e3, rng).gains[0, 0] for _ in range(100_000)]
         )
         assert_allclose(np.mean(np.abs(draws) ** 2), 1.0, rtol=0.02)
 
     def test_magnitude_is_rayleigh(self):
         rng = np.random.default_rng(2718)
         draws = np.array(
-            [flat_rayleigh(1, None, 250e3, rng).gains[0, 0] for _ in range(100_000)]
+            [flat_fade(1, 0.0, 250e3, rng).gains[0, 0] for _ in range(100_000)]
         )
         result = kstest(np.abs(draws), "rayleigh", args=(0, 1 / np.sqrt(2)))
         assert result.pvalue > 0.01
@@ -163,7 +163,7 @@ class TestFlatRayleigh:
         acc = np.zeros(n, dtype=complex)
         trials = 400
         for _ in range(trials):
-            h = flat_rayleigh(n, fd, rate, rng).gains[0]
+            h = flat_fade(n, fd, rate, rng).gains[0]
             acc += h * np.conj(h[0])
         acc /= trials
         lags = np.arange(n)
@@ -171,13 +171,13 @@ class TestFlatRayleigh:
 
     def test_rejects_empty_frame(self):
         with pytest.raises(ValueError):
-            flat_rayleigh(0, None, 250e3, np.random.default_rng(0))
+            flat_fade(0, 0.0, 250e3, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_frozen_gain_from_weights_equals_realization(self, seed):
         # frozen-channel frames take their gain from the weight draw itself
         rate = 250e3
-        real = tvfs_realization(1, FLAT_PROFILE, None, rate, np.random.default_rng(seed))
+        real = flat_fade(1, 0.0, rate, np.random.default_rng(seed))
         h = FLAT_PROFILE.lag_groups(rate).draw_weights(np.random.default_rng(seed)).sum()
         assert h == real.gains[0, 0]
 
@@ -252,7 +252,7 @@ class TestTvfs:
         rng = np.random.default_rng(31)
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         profile = TapProfile.from_db([0.0, 4.0, 12.0], [0.0, -3.0, -6.0])
-        real = tvfs_realization(x.size, profile, None, 250e3, np.random.default_rng(5))
+        real = tvfs_realization(x.size, profile.lag_groups(250e3), 0.0, np.random.default_rng(5))
         # zero doppler: every tap gain is constant in time
         assert np.all(real.gains == real.gains[:, :1])
         y = apply_channel(x, real)
@@ -263,7 +263,7 @@ class TestTvfs:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         profile = TapProfile.from_db([0.0, 8.0], [0.0, -2.0])
-        real = tvfs_realization(x.size, profile, 500.0, 250e3, rng)
+        real = tvfs_realization(x.size, profile.lag_groups(250e3), 500.0, rng)
         assert not np.all(real.gains == real.gains[:, :1])
         assert_allclose(
             apply_channel(x, real),
@@ -275,19 +275,19 @@ class TestTvfs:
     def test_energy_preserved_on_average(self):
         rng = np.random.default_rng(12)
         x = raw_upchirp(7)
-        profile = urban_12tap_profile()
+        taps = urban_12tap_profile().lag_groups(250e3)
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            y = apply_channel(x, tvfs_realization(x.size, profile, None, 250e3, rng))
+            y = apply_channel(x, tvfs_realization(x.size, taps, 0.0, rng))
             total += np.sum(np.abs(y) ** 2)
         # edge truncation loses a sliver of the delayed taps' energy
         assert abs(total / trials / np.sum(np.abs(x) ** 2) - 1.0) < 0.02
 
     def test_same_seed_reproduces_realization(self):
-        profile = urban_12tap_profile()
-        a = tvfs_realization(256, profile, 10.0, 250e3, np.random.default_rng(77))
-        b = tvfs_realization(256, profile, 10.0, 250e3, np.random.default_rng(77))
+        taps = urban_12tap_profile().lag_groups(250e3)
+        a = tvfs_realization(256, taps, 10.0, np.random.default_rng(77))
+        b = tvfs_realization(256, taps, 10.0, np.random.default_rng(77))
         assert_array_equal(a.gains, b.gains)
         assert_array_equal(a.delays, b.delays)
 
@@ -297,7 +297,7 @@ class TestTvfs:
         # twelve separately synthesized taps added per lag
         profile = urban_12tap_profile()
         n = 2000
-        real = tvfs_realization(n, profile, fd, 250e3, np.random.default_rng(404))
+        real = tvfs_realization(n, profile.lag_groups(250e3), fd, np.random.default_rng(404))
         rng = np.random.default_rng(404)
         phases = np.array([rng.uniform(0.0, 2 * np.pi, size=64) for _ in range(profile.n_taps)])
         lags, want = sos_tap_gains_per_lag(
@@ -306,20 +306,6 @@ class TestTvfs:
         assert_array_equal(real.delays, [0, 1])
         assert_array_equal(lags, [0, 1])
         assert_allclose(real.gains, want, rtol=0, atol=1e-12)
-
-    def test_grouped_profile_gives_same_realization(self):
-        profile = urban_12tap_profile()
-        taps = profile.lag_groups(250e3)
-        assert_array_equal(taps.lags, [0, 1])
-        a = tvfs_realization(300, profile, 40.0, 250e3, np.random.default_rng(8))
-        b = tvfs_realization(300, taps, 40.0, 250e3, np.random.default_rng(8))
-        assert_array_equal(a.gains, b.gains)
-        assert_array_equal(a.delays, b.delays)
-
-    def test_grouping_at_another_rate_rejected(self):
-        taps = urban_12tap_profile().lag_groups(250e3)
-        with pytest.raises(ValueError, match="grouped at"):
-            tvfs_realization(300, taps, None, 1e6, np.random.default_rng(0))
 
     def test_repeated_delays_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

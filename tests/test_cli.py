@@ -152,6 +152,10 @@ class TestBerCommand:
         for snr in ("nan", "inf", "-inf"):
             assert run_cli("chirp", "--sf", "7", f"--snr-db={snr}", "--out", out) == 2
         assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
+        # a tap profile on a channel without multipath would be silently ignored
+        for channel in ("awgn", "rayleigh-mobile-est"):
+            args = ("--channel", channel, "--tap-profile", str(tmp_path / "none.profile"))
+            assert run_cli("ber", *args, "--out", out) == 2
         # removed knobs: the symbol energy is N and the multipath estimate is always truncated
         for line in ("es = 1\n", "truncate_est = false\n"):
             cfg.write_text(line)

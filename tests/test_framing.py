@@ -4,60 +4,59 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from chirplink.chirp import SpreadingFactor, raw_upchirp, raw_downchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
-from chirplink.modem import ModConfig
 
 from oracles import circular_convolve
 
 SF7 = SpreadingFactor(7)
 
 
-def make_frame(cp_len=0, scheme="lora-noncoherent", payload=None, es=128.0):
+def make_frame(cp_len=0, scheme="lora-noncoherent", payload=None):
     cfg = FrameConfig(sf=SF7, cp_len=cp_len)
-    mod = ModConfig(SF7, es)
     if payload is None:
         rng = np.random.default_rng(11)
         if scheme == "lora-noncoherent":
             payload = rng.integers(0, 128, size=cfg.payload_symbols)
         else:
             payload = rng.integers(0, 128, size=(cfg.payload_symbols, 2))
-    return cfg, build_frame(cfg, payload, mod, scheme)
+    return cfg, build_frame(cfg, payload, scheme)
 
 
 def test_frame_length_without_prefix():
     _, frame = make_frame(cp_len=0)
-    assert frame.signal.size == (8 + 2 + 20) * 128 == 3840
+    assert frame.size == (8 + 2 + 20) * 128 == 3840
 
 
 def test_frame_length_with_prefix_16():
     _, frame = make_frame(cp_len=16)
-    assert frame.signal.size == 30 * (128 + 16) == 4320
+    assert frame.size == 30 * (128 + 16) == 4320
 
 
 def test_cyclic_prefix_repeats_chirp_tail():
     cfg, frame = make_frame(cp_len=16)
-    for chunk in frame.signal.reshape(30, 144):
+    for chunk in frame.reshape(30, 144):
         assert_array_equal(chunk[:16], chunk[-16:])
 
 
 def test_sync_chirps_are_unit_amplitude_raw_chirps():
-    cfg, frame = make_frame(cp_len=0, es=37.0)
-    sync_up, _ = extract_regions(frame.signal, cfg)
+    cfg, frame = make_frame(cp_len=0, scheme="iqcss")
+    sync_up, data = extract_regions(frame, cfg)
     for chunk in sync_up:
         assert_array_equal(chunk, raw_upchirp(7))
-    down = frame.signal[8 * 128 : 9 * 128]
+    down = frame[8 * 128 : 9 * 128]
     assert_array_equal(down, raw_downchirp(7))
-    # preamble energy per chirp equals the chirp length
+    # every chirp's energy, preamble and payload alike, equals the chirp length
     assert_allclose(sum(np.sum(np.abs(c) ** 2) for c in sync_up), 8 * 128, rtol=1e-12)
+    assert_allclose(np.sum(np.abs(data) ** 2, axis=-1), 128, rtol=1e-12)
 
 
 @pytest.mark.parametrize("cp_len", [0, 16])
 @pytest.mark.parametrize("scheme", ["lora-noncoherent", "iqcss"])
 def test_build_then_extract_is_identity(cp_len, scheme):
     cfg, frame = make_frame(cp_len=cp_len, scheme=scheme)
-    sync_up, data = extract_regions(frame.signal, cfg)
+    sync_up, data = extract_regions(frame, cfg)
     assert len(sync_up) == 8 and len(data) == 20
     rebuilt = make_frame(cp_len=cp_len, scheme=scheme)[1]
-    _, data2 = extract_regions(rebuilt.signal, cfg)
+    _, data2 = extract_regions(rebuilt, cfg)
     for a, b in zip(data, data2):
         assert_array_equal(a, b)
     for chunk in sync_up:
@@ -69,7 +68,7 @@ def test_prefix_turns_multipath_into_circular_convolution():
     # chirp must equal the circular convolution of the sent chirp and the taps
     taps = np.array([0.8, 0.0, 0.3 - 0.2j, 0.0, 0.1j])
     cfg, frame = make_frame(cp_len=16)
-    x = frame.signal
+    x = frame
     y = np.zeros_like(x)
     for d, g in enumerate(taps):
         if g != 0:
@@ -82,7 +81,7 @@ def test_prefix_turns_multipath_into_circular_convolution():
 
 def test_extract_slices_stacked_frames_row_by_row():
     cfg, frame = make_frame(cp_len=16)
-    stack = np.stack([frame.signal, 2j * frame.signal])
+    stack = np.stack([frame, 2j * frame])
     sync_up, data = extract_regions(stack, cfg)
     assert sync_up.shape == (2, 8, 128) and data.shape == (2, 20, 128)
     assert np.shares_memory(sync_up, stack) and np.shares_memory(data, stack)
@@ -95,23 +94,21 @@ def test_extract_slices_stacked_frames_row_by_row():
 def test_extract_rejects_wrong_length():
     cfg, frame = make_frame(cp_len=16)
     with pytest.raises(ValueError):
-        extract_regions(frame.signal[:-1], cfg)
+        extract_regions(frame[:-1], cfg)
 
 
 def test_build_rejects_wrong_payload_length():
     cfg = FrameConfig(sf=SF7)
-    mod = ModConfig(SF7, 128.0)
     with pytest.raises(ValueError):
-        build_frame(cfg, np.zeros(19, dtype=int), mod, "lora-noncoherent")
+        build_frame(cfg, np.zeros(19, dtype=int), "lora-noncoherent")
 
 
 def test_build_rejects_unknown_scheme():
     cfg = FrameConfig(sf=SF7)
-    mod = ModConfig(SF7, 128.0)
     with pytest.raises(ValueError):
-        build_frame(cfg, np.zeros(20, dtype=int), mod, "fsk")
+        build_frame(cfg, np.zeros(20, dtype=int), "fsk")
     with pytest.raises(ValueError):
-        build_frame(cfg, np.zeros(20, dtype=int), mod, "lora")
+        build_frame(cfg, np.zeros(20, dtype=int), "lora")
 
 
 def test_config_rejects_prefix_longer_than_chirp():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chirplink import _kernels
-from chirplink.channel import DopplerSpec
+from chirplink.channel import max_doppler_hz
 
 from oracles import sos_tap_gains_per_lag
 
@@ -39,7 +39,7 @@ def _per_lag_inputs(n_lags, speed_kmh, seed=5):
     powers = rng.uniform(0.2, 1.0, size=n_lags)
     phases = rng.uniform(0, 2 * np.pi, size=(n_lags, K))
     weights = (np.sqrt(powers / K)[:, None] * np.exp(1j * phases)).T
-    fd = DopplerSpec(speed_kmh, 863e6).max_doppler_hz
+    fd = max_doppler_hz(speed_kmh, 863e6)
     omegas = 2 * np.pi * fd * np.cos(2 * np.pi * (np.arange(K) + 0.5) / K)
     return powers, phases, weights, fd, omegas
 
