@@ -83,9 +83,9 @@ def apply_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.nda
     sigma2 = float(sigma2)
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
     if sigma2 == 0.0:
-        return x.copy()
+        return x.astype(np.complex128)
     w = rng.standard_normal((2,) + x.shape)
     w *= np.sqrt(sigma2 / 2.0)
     y = np.empty(x.shape, dtype=np.complex128)
