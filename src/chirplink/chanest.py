@@ -74,7 +74,10 @@ def equalize_flat(x: np.ndarray, h: complex) -> np.ndarray:
     ``ValueError`` unless that factor, ``conj(h) * (1 / |h|^2)``, is finite.
     """
     h = complex(h)
-    mag2 = abs(h) ** 2
+    try:
+        mag2 = abs(h) ** 2
+    except OverflowError:  # |h| above ~1.3e154
+        mag2 = math.inf
     if not (0.0 < mag2 < math.inf and 1.0 / mag2 < math.inf):
         raise ValueError(f"cannot equalize with channel gain {h}")
     return np.asarray(x) * (np.conj(h) / mag2)

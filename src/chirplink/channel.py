@@ -39,6 +39,18 @@ JAKES_SINUSOIDS = 64
 # the maximum Doppler frequency, shared by every tap.
 _ARRIVAL_COS = np.cos(2.0 * np.pi * (np.arange(JAKES_SINUSOIDS) + 0.5) / JAKES_SINUSOIDS)
 
+# The grid is symmetric to a few ulps: _ARRIVAL_COS[63 - k] == _ARRIVAL_COS[k]
+# and _ARRIVAL_COS[k + 32] == -_ARRIVAL_COS[k].  So the 64 sinusoids share 32
+# frequencies (Jakes' oscillator reduction): sinusoids j and 63-j share +cos_j,
+# and 31-j and 32+j share -cos_j, for j = 0..15.
+FOLDED_COS = np.concatenate([_ARRIVAL_COS[:16], -_ARRIVAL_COS[:16]])
+
+
+def fold_weights(weights: np.ndarray) -> np.ndarray:
+    """Sum (..., 64) sinusoid weights onto the (..., 32) :data:`FOLDED_COS` grid."""
+    plus = weights[..., :16] + weights[..., 63:47:-1]
+    return np.concatenate([plus, weights[..., 31:15:-1] + weights[..., 32:48]], axis=-1)
+
 
 def bits_per_symbol(sf: int, scheme: str) -> int:
     """Bits carried by one chirp: ``sf`` per data stream of the named scheme."""

@@ -129,7 +129,12 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         overrides["axis_start"] = start
         overrides["axis_step"] = step
         overrides["axis_stop"] = stop
-    return dataclasses.replace(SimConfig(), **overrides)
+    cfg = dataclasses.replace(SimConfig(), **overrides)
+    flags = {"speed_kmh": "--speed-kmh", "carrier_hz": "--carrier-hz"}
+    doppler = [flag for key, flag in flags.items() if key in overrides]
+    if doppler and cfg.channel in CHANNELS and not CHANNELS[cfg.channel].moving:
+        raise ConfigError(f"channel {cfg.channel} does not move to use {', '.join(doppler)}")
+    return cfg
 
 
 def _cmd_sweep(args: argparse.Namespace, throughput: bool) -> int:

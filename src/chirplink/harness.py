@@ -6,10 +6,10 @@ frames are distributed over workers.  Frames are processed in fixed-size
 batches and the stop rule (enough bit errors, or the frame budget) is checked
 between batches, which keeps the set of simulated frames deterministic.
 
-The frozen channels (AWGN and flat fading constant over the frame) draw each
-data chirp's despread spectrum directly; the moving and multipath channels
-simulate the waveform.  The per-frame draw order is the stream layout, and
-:data:`STREAM_VERSION` names it.
+Every flat channel (AWGN and flat fading, frozen over the frame or moving
+under Doppler) draws each data chirp's despread spectrum directly; only the
+multipath channels simulate the waveform.  The per-frame draw order is the
+stream layout, and :data:`STREAM_VERSION` names it.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chirp import SpreadingFactor, VALID_SF, _upchirp_readonly
+from .chirp import SpreadingFactor, VALID_SF
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
-from .chanest import ImpulseEstimate, ls_flat, ls_selective, equalize_flat, equalize_fd
+from .chanest import ImpulseEstimate, ls_selective, equalize_flat, equalize_fd
 from .channel import (
     FLAT_PROFILE,
+    FOLDED_COS,
     ChannelRealization,
     TapLags,
     TapProfile,
@@ -35,6 +37,7 @@ from .channel import (
     apply_channel,
     bits_per_symbol,
     ebn0_to_sigma2,
+    fold_weights,
     load_tap_profile,
     max_doppler_hz,
     snr_to_sigma2,
@@ -46,7 +49,8 @@ AXES = ("ebn0", "snr")
 
 # Version of the per-frame random-stream layout.  Version 2: frozen channels
 # draw tx symbols, fade phases, the estimate error, then the data noise bins.
-STREAM_VERSION = 2
+# Version 3: the moving flat channel draws the same, on despread spectra.
+STREAM_VERSION = 3
 
 FRAMES_PER_BATCH = 32
 
@@ -76,11 +80,6 @@ class Channel:
     multipath: bool = False
     moving: bool = False
     genie: bool = False
-
-    @property
-    def frozen(self) -> bool:
-        """Flat and constant over the frame: simulated on despread spectra."""
-        return not (self.moving or self.multipath)
 
 
 CHANNELS = {
@@ -247,26 +246,8 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
     return h
 
 
-def _equalize(
-    channel: Channel,
-    fcfg: FrameConfig,
-    realization: ChannelRealization,
-    sync_up: np.ndarray,
-    data: np.ndarray,
-) -> np.ndarray:
-    if channel.genie:
-        return equalize_fd(data, ImpulseEstimate(_genie_response(realization, fcfg)))
-    y_bar = average_sync(sync_up)
-    if channel.multipath:
-        est = ls_selective(y_bar, fcfg.sf)
-        if fcfg.cp_len > 0:
-            est = est.truncated(fcfg.cp_len)
-        return equalize_fd(data, est)
-    return equalize_flat(data, ls_flat(y_bar, _upchirp_readonly(fcfg.sf.n)))
-
-
 def _errors(tx: np.ndarray, rx: np.ndarray, sf_int: int) -> tuple[int, int, int, int]:
-    symbol_errors = np.count_nonzero(tx != rx)
+    symbol_errors = int(np.count_nonzero(tx != rx))
     bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
     return tx.size * sf_int, bit_errors, tx.size, symbol_errors
 
@@ -274,7 +255,7 @@ def _errors(tx: np.ndarray, rx: np.ndarray, sf_int: int) -> tuple[int, int, int,
 def _sim_frame(
     cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, frame_idx: int
 ) -> tuple[int, int, int, int]:
-    """Simulate one moving or multipath frame on the waveform.
+    """Simulate one multipath frame on the waveform.
 
     Returns (bits_sent, bit_errors, symbols_sent, symbol_errors).
     """
@@ -291,36 +272,83 @@ def _sim_frame(
     realization = tvfs_realization(frame.size, taps, fd, rng)
     y = apply_awgn(apply_channel(frame, realization), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
-    if scheme.coherent:
-        data = _equalize(channel, fcfg, realization, sync_up, data)
+    if scheme.coherent and channel.genie:
+        data = equalize_fd(data, ImpulseEstimate(_genie_response(realization, fcfg)))
+    elif scheme.coherent:
+        est = ls_selective(average_sync(sync_up), sf)
+        data = equalize_fd(data, est.truncated(fcfg.cp_len) if fcfg.cp_len > 0 else est)
     return _errors(tx, scheme.detect(data, sf), sf_int)
 
 
-def _frozen_frame(
+@lru_cache(maxsize=8)
+def _doppler_table(n: int, cp_len: int, payload_symbols: int, fd: float, rate_hz: float):
+    """One point's tables of a moving flat fade ``g[t] = sum_j w_j exp(1j*theta_j*t)``.
+
+    ``theta_j = 2*pi*fd*FOLDED_COS[j] / rate_hz``.  ``table[d, j]`` (N, 32) is
+    ``fft(exp(1j*theta_j*t))[d]`` over one chirp body, ``phases[i, j]`` is
+    ``exp(1j*theta_j*s_i)`` at data chirp i's first body sample (sync chirps and
+    prefixes counted), and ``kernel @ w`` is the fade's mean over the sync
+    up-chirp bodies.  Built in each process, never sent to workers.
+    """
+    theta = (2.0 * np.pi * fd / rate_hz) * FOLDED_COS
+    sync = FrameConfig.n_sync_up + FrameConfig.n_sync_down
+    starts = np.arange(sync + payload_symbols) * (n + cp_len) + cp_len
+    rotations = np.exp(1j * np.outer(starts, theta))
+    table = np.fft.fft(np.exp(1j * np.outer(np.arange(n), theta)), axis=0)
+    kernel = table[0] / n * rotations[: FrameConfig.n_sync_up].mean(axis=0)
+    table.flags.writeable = rotations.flags.writeable = kernel.flags.writeable = False
+    return table, rotations[sync:], kernel
+
+
+def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
+    """Noiseless data spectra and preamble-averaged gain of a moving flat fade.
+
+    Data chirp i spreads a tone at bin q into ``amp * v_i[(m - q) mod N]``, with
+    ``v = (w * phases) @ table.T`` over the folded weights ``w``: two real
+    length-64 dots per bin, without BLAS as in ``jakes_trace``, written twice
+    over down the columns of ``twice`` so that each shift is a window.
+    """
+    scheme = SCHEMES[cfg.scheme]
+    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz)
+    table, phases, kernel = _doppler_table(n, cfg.resolved_cp_len(), len(tx), fd, cfg.bandwidth_hz)
+    w = fold_weights(weights.ravel())
+    conj_c = np.conj(np.sqrt(1.0 / scheme.streams) * w * phases)
+    rows = np.stack([conj_c, 1j * conj_c], axis=1).view(np.float64).reshape(2 * len(tx), -1)
+    twice = np.empty((2 * n, len(tx)), dtype=np.complex128)
+    np.einsum("dk,ak->da", table.view(np.float64), rows, out=twice[:n].view(np.float64))
+    twice[n:] = twice[:n]
+    shifted = sliding_window_view(twice, n, axis=0)[n - tx, np.arange(len(tx))[:, None]]
+    return scheme.combine(shifted), complex((w * kernel).sum())
+
+
+def _flat_frame(
     cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None, frame_idx: int
 ) -> tuple[int, int, int, int]:
-    """Simulate one frame of a frozen channel from its despread data spectra.
+    """Simulate one flat-channel frame from its despread data spectra.
 
-    With one gain ``h`` over the frame and perfect timing, despreading and the
-    N-point DFT are sqrt(N) times a unitary map, so data chirp ``i``'s spectrum
-    is ``h * S(tx_i)`` plus i.i.d. CN(0, N*sigma2) bins.  The preamble
-    least-squares estimate averages 8 unit-amplitude sync chirps, so its error
-    is CN(0, sigma2 / (8N)).  Returns what :func:`_sim_frame` returns.
+    Despreading and the N-point DFT are sqrt(N) times a unitary map, so noise
+    adds i.i.d. CN(0, N*sigma2) bins.  A frozen fade scales the tone pattern by
+    one gain; a moving one spreads each tone (:func:`_moving_flat`).  The genie
+    knows the preamble-averaged gain, and the preamble LS estimate adds the
+    projected noise of 8 averaged sync chirps, CN(0, sigma2 / (8N)).
     """
     n = 1 << sf_int
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
 
-    # Draw order is stream version 2: tx symbols, fade phases, estimate error, noise bins.
+    # Draw order is stream version 3: tx symbols, fade phases, estimate error, noise bins.
     tx = rng.integers(0, n, size=(cfg.payload_symbols, scheme.streams))
-    spectra = scheme.spectrum(sf_int, tx)
-    if channel.fading:
-        h = h_est = complex(taps.draw_weights(rng).sum())
-        if scheme.coherent and not channel.genie:
-            err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
-            h_est = h + complex(err[0], err[1])
-        spectra = h * spectra
+    if channel.moving:
+        spectra, h_est = _moving_flat(cfg, n, taps.draw_weights(rng), tx)
+    elif channel.fading:
+        h_est = complex(taps.draw_weights(rng).sum())
+        spectra = h_est * scheme.spectrum(sf_int, tx)
+    else:
+        spectra = scheme.spectrum(sf_int, tx)
+    if channel.fading and scheme.coherent and not channel.genie:
+        err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
+        h_est += complex(err[0], err[1])
     rx = apply_awgn(spectra, n * sigma2, rng)
     if channel.fading and scheme.coherent:
         rx = equalize_flat(rx, h_est)
@@ -340,7 +368,7 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
     if channel.fading:
         profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
         taps = profile.lag_groups(cfg.bandwidth_hz)
-    frame = _frozen_frame if channel.frozen else _sim_frame
+    frame = _sim_frame if channel.multipath else _flat_frame
     sim = partial(frame, cfg, sf, sigma2, point_idx, taps)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0

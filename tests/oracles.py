@@ -4,11 +4,11 @@ Most of this is deliberately brute-force or closed-form and shares no code
 with the package: direct O(N^2) transforms, direct convolution, and textbook
 M-ary orthogonal-signaling error rates evaluated in extended precision.
 
-The exception is :func:`waveform_frozen_frame`, the reference for the
-harness's frozen-channel frames (which are drawn on despread spectra): it
-composes the package's waveform primitives, frame building, channel, noise,
-region slicing, estimation, equalization and detection, into the full
-sample-level frame.
+The exception is :func:`waveform_flat_frame`, the reference for the
+harness's flat-channel frames (which are drawn on despread spectra, frozen or
+moving): it composes the package's waveform primitives, frame building,
+channel, noise, region slicing, estimation, equalization and detection, into
+the full sample-level frame.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from scipy import integrate
 from scipy.stats import norm
 
 from chirplink.chanest import equalize_flat, ls_flat
-from chirplink.channel import FLAT_PROFILE, apply_awgn, apply_channel, tvfs_realization
+from chirplink.channel import (
+    FLAT_PROFILE,
+    apply_awgn,
+    apply_channel,
+    max_doppler_hz,
+    tvfs_realization,
+)
 from chirplink.chirp import SpreadingFactor, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.harness import CHANNELS
@@ -133,34 +139,60 @@ def binomial_ci_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
     return z * np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n)
 
 
-def waveform_frozen_frame(
+def waveform_flat_rx(
+    fcfg: FrameConfig,
+    tx: np.ndarray,
+    scheme: str,
+    fading: bool,
+    fd: float,
+    sigma2: float,
+    rng: np.random.Generator,
+):
+    """One flat-channel frame sample by sample: (sync_up, data, realization).
+
+    The full frame (preamble and payload, with its cyclic prefixes) passes one
+    flat fade of maximum Doppler ``fd`` Hz, frozen when it is 0 (its 64 phases
+    drawn from ``rng``; ``realization`` is None without ``fading``), then AWGN
+    of variance ``sigma2`` (no draw when it is 0).  Returns the prefix-stripped
+    sync up-chirp and data chirp bodies.
+    """
+    y = build_frame(fcfg, tx, scheme)
+    realization = None
+    if fading:
+        taps = FLAT_PROFILE.lag_groups(250e3)
+        realization = tvfs_realization(y.size, taps, fd, rng)
+        y = apply_channel(y, realization)
+    y = apply_awgn(y, sigma2, rng)
+    sync_up, data = extract_regions(y, fcfg)
+    return sync_up, data, realization
+
+
+def waveform_flat_frame(
     scheme: str,
     channel: str,
     sf: int,
     sigma2: float,
     payload_symbols: int,
     rng: np.random.Generator,
+    speed_kmh: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One frozen-channel frame simulated sample by sample: (tx, detected) symbols.
+    """One flat-channel frame simulated sample by sample: (tx, detected) symbols.
 
-    ``channel`` is ``awgn``, ``rayleigh-perfect`` or ``rayleigh-static-est``.
-    The full frame (preamble and payload) passes one frozen flat fade
-    and AWGN; coherent schemes on a fading channel are equalized with the true
-    gain (genie) or the least-squares estimate from the averaged sync chirps.
+    ``channel`` is ``awgn``, ``rayleigh-perfect``, ``rayleigh-static-est`` or
+    ``rayleigh-mobile-est``; only the last reads ``speed_kmh`` (863 MHz
+    carrier, 250 kHz sampling).  Coherent schemes on a fading channel are
+    equalized with the true gain (genie, a frozen fade) or the least-squares
+    estimate from the averaged sync chirps.
     """
     spec = SCHEMES[scheme]
     chan = CHANNELS[channel]
-    if not chan.frozen:
-        raise ValueError(f"{channel} is not a frozen channel")
+    if chan.multipath:
+        raise ValueError(f"{channel} is not a flat channel")
     sfo = SpreadingFactor(sf)
     fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols)
     tx = rng.integers(0, sfo.n, size=(payload_symbols, spec.streams))
-    y = build_frame(fcfg, tx, scheme)
-    if chan.fading:
-        realization = tvfs_realization(y.size, FLAT_PROFILE.lag_groups(250e3), 0.0, rng)
-        y = apply_channel(y, realization)
-    y = apply_awgn(y, sigma2, rng)
-    sync_up, data = extract_regions(y, fcfg)
+    fd = max_doppler_hz(speed_kmh, 863e6) if chan.moving else 0.0
+    sync_up, data, realization = waveform_flat_rx(fcfg, tx, scheme, chan.fading, fd, sigma2, rng)
     if spec.coherent and chan.fading:
         if chan.genie:
             h = complex(realization.gains[0, 0])

@@ -162,6 +162,12 @@ class TestEqualizeFlat:
         with pytest.raises(ValueError, match="cannot equalize"):
             equalize_flat(raw_upchirp(7), h)
 
+    @pytest.mark.parametrize("h", [1e200, -1e200j, 1e155 + 1e155j])
+    def test_overflowing_gain_rejected(self, h):
+        # |h|^2 overflows a float
+        with pytest.raises(ValueError, match="cannot equalize"):
+            equalize_flat(raw_upchirp(7), h)
+
 
 class TestEqualizeFd:
     def test_unit_pulse_is_identity(self):

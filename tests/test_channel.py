@@ -5,7 +5,10 @@ from scipy.special import j0
 from scipy.stats import kstest
 
 from chirplink.channel import (
+    _ARRIVAL_COS,
     FLAT_PROFILE,
+    FOLDED_COS,
+    JAKES_SINUSOIDS,
     ChannelRealization,
     TapProfile,
     apply_awgn,
@@ -13,6 +16,7 @@ from chirplink.channel import (
     bits_per_symbol,
     ebn0_db_to_snr_db,
     ebn0_to_sigma2,
+    fold_weights,
     load_tap_profile,
     max_doppler_hz,
     snr_db_to_ebn0_db,
@@ -180,6 +184,25 @@ class TestFlatRayleigh:
         real = flat_fade(1, 0.0, rate, np.random.default_rng(seed))
         h = FLAT_PROFILE.lag_groups(rate).draw_weights(np.random.default_rng(seed)).sum()
         assert h == real.gains[0, 0]
+
+
+class TestFoldedDopplerGrid:
+    def test_arrival_grid_symmetries(self):
+        # the fold relies on cos_(63-k) == cos_k and cos_(k+32) == -cos_k; the
+        # cosines are of rounded angles, so they hold to a few ulps of 1
+        k = np.arange(JAKES_SINUSOIDS)
+        tol = 4 * np.finfo(float).eps
+        assert JAKES_SINUSOIDS == 64
+        assert np.abs(_ARRIVAL_COS[63 - k] - _ARRIVAL_COS).max() <= tol
+        assert np.abs(_ARRIVAL_COS[(k + 32) % 64] + _ARRIVAL_COS).max() <= tol
+
+    def test_folded_weights_give_the_same_fade(self):
+        weights = FLAT_PROFILE.lag_groups(250e3).draw_weights(np.random.default_rng(4))[0]
+        theta = 2 * np.pi * 400.0 / 250e3
+        t = np.arange(0, 200_000, 997)[:, None]
+        full = np.exp(1j * theta * t * _ARRIVAL_COS) @ weights
+        folded = np.exp(1j * theta * t * FOLDED_COS) @ fold_weights(weights)
+        assert_allclose(folded, full, rtol=0, atol=1e-12)
 
 
 class TestTapProfile:

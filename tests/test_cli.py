@@ -156,6 +156,11 @@ class TestBerCommand:
         for channel in ("awgn", "rayleigh-mobile-est"):
             args = ("--channel", channel, "--tap-profile", str(tmp_path / "none.profile"))
             assert run_cli("ber", *args, "--out", out) == 2
+        # Doppler inputs on a channel that does not move would be silently ignored
+        cfg.write_text("carrier_hz = 2.4e9\n")
+        for channel in ("awgn", "rayleigh-perfect", "rayleigh-static-est"):
+            for args in (("--speed-kmh", "60"), ("--carrier-hz", "868e6"), ("--config", str(cfg))):
+                assert run_cli("ber", "--channel", channel, *args, "--out", out) == 2
         # removed knobs: the symbol energy is N and the multipath estimate is always truncated
         for line in ("es = 1\n", "truncate_est = false\n"):
             cfg.write_text(line)

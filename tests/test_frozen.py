@@ -1,21 +1,25 @@
-"""Frozen channels: the despread-spectrum frames against the waveform reference.
+"""Flat channels: the despread-spectrum frames against the waveform reference.
 
-The harness draws each frozen-channel frame (``awgn``, ``rayleigh-perfect``,
-``rayleigh-static-est``) directly on the despread data spectra.
-``oracles.waveform_frozen_frame`` builds the same frame sample by sample from
-the package's waveform primitives.  Both must give the same error statistics
-at fixed seeds, for every channel and scheme at three Eb/N0 points:
+The harness draws each flat-channel frame (``awgn``, ``rayleigh-perfect``,
+``rayleigh-static-est`` and, at 60 km/h, ``rayleigh-mobile-est``) directly on
+the despread data spectra.  ``oracles.waveform_flat_frame`` builds the same
+frame sample by sample from the package's waveform primitives.  Both must give
+the same error statistics at fixed seeds, for every channel and scheme at
+three Eb/N0 points:
 
 * under AWGN every payload symbol is an independent trial, so the symbol
   error counts are compared by a pooled two-proportion z test;
-* under a frozen fade the errors of one frame share its gain and cluster, so
+* under a fade the errors of one frame share its gains and cluster, so
   the frame is the trial: the mean per-frame symbol error counts are compared
   by an unpooled two-sample z test.
 
 A case fails when |z| > 4.  Under the normal approximation a correct
-implementation fails one case with probability 6.3e-5, and any of the 27
-cases with probability below 1.7e-3 (union bound).  The seeds are fixed, so
+implementation fails one case with probability 6.3e-5, and any of the 36
+cases with probability below 2.3e-3 (union bound).  The seeds are fixed, so
 the outcome is reproducible.
+
+The moving channel is also checked bin by bin: with the noise off, its data
+spectra and preamble estimate match the waveform chain to rounding.
 """
 
 import math
@@ -23,10 +27,13 @@ import math
 import numpy as np
 import pytest
 
-from chirplink.channel import FLAT_PROFILE
-from chirplink.harness import SimConfig, _frozen_frame, _point_sigma2
+from chirplink.chanest import ls_flat
+from chirplink.channel import FLAT_PROFILE, max_doppler_hz
+from chirplink.chirp import despread, dft, raw_upchirp
+from chirplink.framing import FrameConfig, average_sync
+from chirplink.harness import SimConfig, _flat_frame, _moving_flat, _point_sigma2
 
-from oracles import waveform_frozen_frame
+from oracles import waveform_flat_frame, waveform_flat_rx
 
 SF = 7
 Z_MAX = 4.0
@@ -34,8 +41,12 @@ POINTS = {
     "awgn": (0.0, 1.5, 3.0),
     "rayleigh-perfect": (4.0, 10.0, 16.0),
     "rayleigh-static-est": (4.0, 10.0, 16.0),
+    "rayleigh-mobile-est": (4.0, 10.0, 16.0),
 }
-FRAMES = {"awgn": 150, "rayleigh-perfect": 300, "rayleigh-static-est": 300}
+FRAMES = {
+    "awgn": 150, "rayleigh-perfect": 300, "rayleigh-static-est": 300, "rayleigh-mobile-est": 300
+}
+SPEED_KMH = 60.0
 SCHEMES = ("lora-noncoherent", "lora-coherent", "iqcss")
 CASES = [(ch, sc, db) for ch in POINTS for sc in SCHEMES for db in POINTS[ch]]
 
@@ -55,15 +66,19 @@ def two_mean_z(a: np.ndarray, b: np.ndarray) -> float:
 def test_despread_frames_match_waveform_reference(channel, scheme, ebn0_db):
     frames = FRAMES[channel]
     case = CASES.index((channel, scheme, ebn0_db))
-    cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(SF,), seed=9000 + case)
+    cfg = SimConfig(
+        scheme=scheme, channel=channel, sf_list=(SF,), seed=9000 + case, speed_kmh=SPEED_KMH
+    )
     sigma2 = _point_sigma2(cfg, SF, ebn0_db)
     taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    fast = np.array([_frozen_frame(cfg, SF, sigma2, 0, taps, i)[3] for i in range(frames)])
+    fast = np.array([_flat_frame(cfg, SF, sigma2, 0, taps, i)[3] for i in range(frames)])
 
     rng = np.random.default_rng([4711, case])
     ref = np.empty(frames, dtype=np.int64)
     for i in range(frames):
-        tx, rx = waveform_frozen_frame(scheme, channel, SF, sigma2, cfg.payload_symbols, rng)
+        tx, rx = waveform_flat_frame(
+            scheme, channel, SF, sigma2, cfg.payload_symbols, rng, speed_kmh=SPEED_KMH
+        )
         ref[i] = int((tx != rx).sum())
 
     symbols = frames * cfg.payload_symbols * (2 if scheme == "iqcss" else 1)
@@ -75,3 +90,26 @@ def test_despread_frames_match_waveform_reference(channel, scheme, ebn0_db):
     assert abs(z) <= Z_MAX, (
         f"z = {z:.2f}: {fast.sum()} vs {ref.sum()} symbol errors in {symbols} symbols"
     )
+
+
+@pytest.mark.parametrize("speed_kmh", [0.0, 0.1, 60.0, 500.0])
+@pytest.mark.parametrize("cp_len", [0, 16])
+@pytest.mark.parametrize("sf", [7, 10, 12])
+def test_moving_spectra_match_waveform_chain(sf, cp_len, speed_kmh):
+    n = 1 << sf
+    cfg = SimConfig(scheme="iqcss", channel="rayleigh-mobile-est", sf_list=(sf,), cp_len=cp_len,
+                    speed_kmh=speed_kmh)
+    tx = np.random.default_rng([sf, cp_len]).integers(0, n, size=(cfg.payload_symbols, 2))
+    weights = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz).draw_weights(np.random.default_rng(sf))
+    spectra, h = _moving_flat(cfg, n, weights, tx)
+
+    # the same 64 phases, drawn again by the waveform chain's realization
+    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cp_len)
+    fd = max_doppler_hz(speed_kmh, cfg.carrier_hz)
+    rng = np.random.default_rng(sf)
+    sync_up, data, _ = waveform_flat_rx(fcfg, tx, "iqcss", True, fd, 0.0, rng)
+    ref = dft(despread(data, sf))
+    ref_h = ls_flat(average_sync(sync_up), raw_upchirp(sf))
+
+    assert np.abs(spectra - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(h - ref_h) <= 1e-12 * abs(ref_h)

@@ -10,7 +10,11 @@ Stream version 1 hashes were recorded before the scheme and channel tables
 replaced the name-based dispatch.  Version 2 re-recorded only the 9 frozen
 channels (``awgn``, ``rayleigh-perfect``, ``rayleigh-static-est``), which now
 draw tx symbols, fade phases, the estimate error and the data noise bins.
-The sf9 table was added later under version 2.
+The sf9 table was added later under version 2.  Version 3 re-recorded only
+the 6 ``rayleigh-mobile-est`` hashes (sf7 and sf9): that channel now draws tx
+symbols, fade phases, the estimate error and the data noise bins like the
+frozen channels, and builds each data chirp's despread spectrum from a
+per-point Doppler table instead of the waveform.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ import pytest
 import chirplink
 from chirplink.harness import SimConfig, records_to_csv, run_ber
 
-GOLDEN_STREAM_VERSION = 2
+GOLDEN_STREAM_VERSION = 3
 
 GOLDEN_SHA256 = {
     ("awgn", "lora-noncoherent"): "053a0c5a297af7ae550f46633cb3206198f78ab873724fb441b5f2860672d23d",
@@ -32,9 +36,9 @@ GOLDEN_SHA256 = {
     ("rayleigh-static-est", "lora-noncoherent"): "c55d5febb18b2b61ff8dd97efd486ebdeb6b442f96235ceccce56c830d3c2b49",
     ("rayleigh-static-est", "lora-coherent"): "dd5ba03b830e46317184696259c66d96602e496328c7bbf0329cbd640a3e3638",
     ("rayleigh-static-est", "iqcss"): "6ec354fe240e61531cc3f2012b6dbcdce3cdded47e2fe1e3be131ec14ba57567",
-    ("rayleigh-mobile-est", "lora-noncoherent"): "92b24420102bc73b103bed5be1bb16e19ea2c72add426eb71c21e19501c3c60b",
-    ("rayleigh-mobile-est", "lora-coherent"): "e77967cbe5ce3747dbac8e09625ebf3ba78d1ff73bcb4f9ff9029cf4105e4805",
-    ("rayleigh-mobile-est", "iqcss"): "ce666e985a21041c329c52840b2aca1b0dd741c28651f156013ca7e15b8d6e25",
+    ("rayleigh-mobile-est", "lora-noncoherent"): "a4929283f76bb76d171e628a4e2fd93f2cdc0d669ce2fd652643480414025261",
+    ("rayleigh-mobile-est", "lora-coherent"): "0e59074e108657c3d7ccc4f17cdda0484e69fff8c52bdfd6877caafca0ec3b52",
+    ("rayleigh-mobile-est", "iqcss"): "ca8f0fc755fb86aec0b78b4fe4eba59f5bf9cd739a50aad6d5a17e1acabda560",
     ("tvfs-perfect", "lora-noncoherent"): "e0132ede4ebfd55008edb5e4d15c8877c916d039cd5bd62110eb77b5840bd66c",
     ("tvfs-perfect", "lora-coherent"): "74c857039eb787132a36aeacf443f52352966f26ebcd881f9be307add8d7eb7c",
     ("tvfs-perfect", "iqcss"): "aed101ddc45d51f350a1fcddbdded87d00304e9009935e8d77e9607bda20c6af",
@@ -53,9 +57,9 @@ GOLDEN_SF9_SHA256 = {
     ("rayleigh-static-est", "lora-noncoherent"): "df20c44176d292379970d3945a6549049c18e5ff84886f9759bf178aff235e8b",
     ("rayleigh-static-est", "lora-coherent"): "93740bc5fa30e7a34044f004c4c3c7c56b831bbff7bf7cd03848c13c645707c5",
     ("rayleigh-static-est", "iqcss"): "03618f6fd057553024df495e9379750c6d5b3e9924a696bb651ba46b69d02619",
-    ("rayleigh-mobile-est", "lora-noncoherent"): "f6dbb6df549544a1f65314dc737677c524a1c952a170cd52b310e0a238af8f87",
-    ("rayleigh-mobile-est", "lora-coherent"): "fbb906ab10ca5add201eb8ba5e699523d64c79c7ed35a9e6bafe0245e6e2c512",
-    ("rayleigh-mobile-est", "iqcss"): "17186989a0d72ddebd3329e49f6dbb1a9be45d76a376df215e3b9a4698dc134e",
+    ("rayleigh-mobile-est", "lora-noncoherent"): "6312e7a5b6d0020455c9f17b9efb8946b9ed8ca1eae2b33c9cd313c6601a3734",
+    ("rayleigh-mobile-est", "lora-coherent"): "bc5662ecb7fc2d8ee7ada8c99bf9bbd2a7149348bc97800b6f38ad9ecc1250de",
+    ("rayleigh-mobile-est", "iqcss"): "1c79544ce74a312e7d2c315af7d6ac55c194148d92d272a418c079e0a854ab99",
     ("tvfs-perfect", "lora-noncoherent"): "ed8884f4b009d6ed45897e07d702128a147732a6326380a823528c586f0074e8",
     ("tvfs-perfect", "lora-coherent"): "54221005c5924109ffaefc13bfabe96b878cdb793efc99d1c86a49d7cb1d6ebf",
     ("tvfs-perfect", "iqcss"): "e8440fd459e9eaf46fcc9c7659ac5f0effebcfa97dd082cca5e38ebb028cb2dd",

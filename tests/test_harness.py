@@ -1,11 +1,17 @@
+import dataclasses
+import json
+import typing
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from chirplink.harness import (
+    CHANNELS,
     CSV_COLUMNS,
     ConfigError,
     SimConfig,
+    SimRecord,
     _popcount,
     records_to_csv,
     run_ber,
@@ -159,10 +165,20 @@ class TestRunBer:
         b = records_to_csv(run_ber(tiny_cfg()))
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        serial = records_to_csv(run_ber(tiny_cfg()))
-        parallel = records_to_csv(run_ber(tiny_cfg(workers=2)))
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_worker_count_does_not_change_results(self, channel):
+        # each worker builds its own per-point tables
+        cfg = tiny_cfg(channel=channel, speed_kmh=60.0)
+        serial = records_to_csv(run_ber(cfg))
+        parallel = records_to_csv(run_ber(dataclasses.replace(cfg, workers=2)))
         assert serial == parallel
+
+    def test_records_hold_plain_python_scalars(self):
+        (rec,) = run_ber(tiny_cfg(scheme="iqcss", axis_stop=0.0))
+        for name, kind in typing.get_type_hints(SimRecord).items():
+            assert type(getattr(rec, name)) is kind, name
+        fields = dataclasses.asdict(rec)
+        assert json.loads(json.dumps(fields)) == fields
 
     @pytest.mark.parametrize("channel", ["awgn", "rayleigh-static-est"])
     def test_prefix_does_not_change_frozen_channels(self, channel):
