@@ -72,7 +72,13 @@ def snr_db_to_ebn0_db(snr_db: float, sf: int, scheme: str) -> float:
 def _db_to_linear(db: float) -> float:
     if not np.isfinite(db):
         raise ValueError(f"dB value must be finite, got {db}")
-    return 10.0 ** (db / 10.0)
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{db} dB is outside the floating-point range")
+    return linear
 
 
 def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str) -> float:

@@ -7,9 +7,21 @@ batches and the stop rule (enough bit errors, or the frame budget) is checked
 between batches, which keeps the set of simulated frames deterministic.
 
 Every flat channel (AWGN and flat fading, frozen over the frame or moving
-under Doppler) draws each data chirp's despread spectrum directly; only the
+under Doppler) works on each data chirp's despread spectrum; only the
 multipath channels simulate the waveform.  The per-frame draw order is the
-stream layout, and :data:`STREAM_VERSION` names it.
+stream layout, and :data:`STREAM_VERSION` (4) names it.  A flat frame draws:
+
+1. the tx symbols, (payload, streams) integers;
+2. on a fading channel, the 64 fade phases;
+3. for a coherent scheme under the preamble estimate, its error (2 normals);
+4. on ``rayleigh-mobile-est``, the (2, payload, N) data noise normals; on a
+   frozen channel (``awgn``, ``rayleigh-perfect``, ``rayleigh-static-est``),
+   the decision draws of :mod:`.orderstat`: the noise normals of the bins
+   that carry a tone, then one uniform and one wrong-winner index per chirp
+   and stream.
+
+A multipath frame draws the tx symbols, the fade phases of every tap and the
+(2, samples) waveform noise normals.
 """
 
 from __future__ import annotations
@@ -50,7 +62,12 @@ AXES = ("ebn0", "snr")
 # Version of the per-frame random-stream layout.  Version 2: frozen channels
 # draw tx symbols, fade phases, the estimate error, then the data noise bins.
 # Version 3: the moving flat channel draws the same, on despread spectra.
-STREAM_VERSION = 3
+# Version 4: frozen channels draw each chirp's decision, not its noise bins.
+STREAM_VERSION = 4
+
+# A frozen frame's tone mean, in noise deviations, is capped here: beyond it
+# every decision is certain, and below it squares stay finite.
+_MEAN_CAP = 1e100
 
 FRAMES_PER_BATCH = 32
 
@@ -92,7 +109,7 @@ CHANNELS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """One sweep: a scheme and channel over a dB axis for a list of SFs."""
 
@@ -157,6 +174,16 @@ class SimConfig:
             raise ConfigError("seed must be >= 0")
         if self.bandwidth_hz <= 0 or self.carrier_hz <= 0 or self.speed_kmh < 0:
             raise ConfigError("bandwidth and carrier must be positive, speed >= 0")
+        for sf in self.sf_list:
+            for db in self.axis_points():
+                try:
+                    bin_var = (1 << sf) * _point_sigma2(self, sf, db)
+                except ValueError:
+                    bin_var = math.nan
+                if not 0.0 < bin_var < math.inf:
+                    raise ConfigError(
+                        f"{self.axis} {db:g} dB at sf {sf} gives no finite, positive noise variance"
+                    )
         cp = self.resolved_cp_len()
         min_n = 1 << min(self.sf_list)
         if not 0 <= cp < min_n:
@@ -176,7 +203,7 @@ class SimConfig:
             raise ConfigError(f"channel {self.channel} has no multipath to use tap_profile")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimRecord:
     """Measured outcome of one (scheme, sf, axis point)."""
 
@@ -327,32 +354,50 @@ def _flat_frame(
     """Simulate one flat-channel frame from its despread data spectra.
 
     Despreading and the N-point DFT are sqrt(N) times a unitary map, so noise
-    adds i.i.d. CN(0, N*sigma2) bins.  A frozen fade scales the tone pattern by
-    one gain; a moving one spreads each tone (:func:`_moving_flat`).  The genie
-    knows the preamble-averaged gain, and the preamble LS estimate adds the
-    projected noise of 8 averaged sync chirps, CN(0, sigma2 / (8N)).
+    adds i.i.d. CN(0, N*sigma2) bins.  The genie knows the preamble-averaged
+    gain, and the preamble LS estimate adds the projected noise of 8 averaged
+    sync chirps, CN(0, sigma2 / (8N)).  A moving fade spreads each tone
+    (:func:`_moving_flat`) over explicit noise bins; a frozen one scales the
+    tone pattern by one gain, and each decision is drawn from the exact order
+    statistic (:mod:`.orderstat`).
     """
     n = 1 << sf_int
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
 
-    # Draw order is stream version 3: tx symbols, fade phases, estimate error, noise bins.
+    # Draw order is stream version 4: tx symbols, fade phases, estimate error,
+    # then the data noise bins (moving) or the decision draws (frozen).
     tx = rng.integers(0, n, size=(cfg.payload_symbols, scheme.streams))
+    gain = h_est = 1.0 + 0j
     if channel.moving:
         spectra, h_est = _moving_flat(cfg, n, taps.draw_weights(rng), tx)
     elif channel.fading:
-        h_est = complex(taps.draw_weights(rng).sum())
-        spectra = h_est * scheme.spectrum(sf_int, tx)
-    else:
-        spectra = scheme.spectrum(sf_int, tx)
+        gain = h_est = complex(taps.draw_weights(rng).sum())
     if channel.fading and scheme.coherent and not channel.genie:
         err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
         h_est += complex(err[0], err[1])
-    rx = apply_awgn(spectra, n * sigma2, rng)
-    if channel.fading and scheme.coherent:
-        rx = equalize_flat(rx, h_est)
-    return _errors(tx, scheme.decide(rx), sf_int)
+    equalize = channel.fading and scheme.coherent
+    if channel.moving:
+        rx = apply_awgn(spectra, n * sigma2, rng)
+        return _errors(tx, scheme.decide(equalize_flat(rx, h_est) if equalize else rx), sf_int)
+
+    mean = _tone_mean(n, scheme.streams, sigma2, gain, h_est if equalize else None)
+    return _errors(tx, scheme.draw_decisions(tx, n, mean, rng), sf_int)
+
+
+def _tone_mean(n: int, streams: int, sigma2: float, gain: complex, h_est: complex | None) -> complex:
+    """A frozen frame's tone mean in units of the noise deviation per quadrature.
+
+    Equalized by ``h_est`` (None: not equalized), the tone is ``gain/h_est``
+    times its height ``N/sqrt(streams)``, over noise of deviation
+    ``|1/h_est| * sqrt(N*sigma2/2)`` per quadrature.
+    """
+    scale = 1.0 if h_est is None else complex(equalize_flat(1.0, h_est))
+    mean = gain * scale * math.sqrt(2.0 * n / (streams * sigma2)) / abs(scale)
+    if abs(mean) > _MEAN_CAP:
+        mean *= _MEAN_CAP / abs(mean)
+    return mean
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:

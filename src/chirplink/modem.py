@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import orderstat
 from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly, despread, dft
 
 
@@ -72,6 +73,9 @@ class Scheme:
     coherent: bool  # needs the channel phase removed before detection
     combine: Callable[[np.ndarray], np.ndarray]  # unit tones (..., streams, N) -> (..., N)
     decide: Callable[[np.ndarray], np.ndarray]  # spectra (..., N) -> symbols (..., streams)
+    # (tx, N, tone mean over noise deviation, rng) -> the symbols ``decide``
+    # would pick under a frozen flat channel, drawn by :mod:`.orderstat`
+    draw_decisions: Callable[..., np.ndarray]
 
     def _symbols(self, n: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         ks = np.asarray(symbols, dtype=np.int64)
@@ -108,9 +112,9 @@ class Scheme:
 
 
 SCHEMES = {
-    "lora-noncoherent": Scheme(1, False, _one_stream, _argmax_abs),
-    "lora-coherent": Scheme(1, True, _one_stream, _argmax_real),
-    "iqcss": Scheme(2, True, _iq_streams, _argmax_real_imag),
+    "lora-noncoherent": Scheme(1, False, _one_stream, _argmax_abs, orderstat.noncoherent),
+    "lora-coherent": Scheme(1, True, _one_stream, _argmax_real, orderstat.coherent),
+    "iqcss": Scheme(2, True, _iq_streams, _argmax_real_imag, orderstat.iq),
 }
 
 

@@ -4,11 +4,13 @@ Most of this is deliberately brute-force or closed-form and shares no code
 with the package: direct O(N^2) transforms, direct convolution, and textbook
 M-ary orthogonal-signaling error rates evaluated in extended precision.
 
-The exception is :func:`waveform_flat_frame`, the reference for the
-harness's flat-channel frames (which are drawn on despread spectra, frozen or
-moving): it composes the package's waveform primitives, frame building,
-channel, noise, region slicing, estimation, equalization and detection, into
-the full sample-level frame.
+The exceptions are the references for the harness's flat-channel frames.
+:func:`waveform_flat_frame` composes the package's waveform primitives, frame
+building, channel, noise, region slicing, estimation, equalization and
+detection, into the full sample-level frame.  :func:`explicit_frozen_frame`
+draws a frozen frame's despread spectra with all N noise bins of every data
+chirp and decides with the scheme's argmax rule, where the harness draws each
+decision from the order statistic.
 """
 
 from __future__ import annotations
@@ -200,3 +202,46 @@ def waveform_flat_frame(
             h = ls_flat(average_sync(sync_up), raw_upchirp(sfo))
         data = equalize_flat(data, h)
     return tx, spec.detect(data, sfo)
+
+
+def explicit_frozen_decisions(
+    scheme: str, sf: int, tx: np.ndarray, gain: complex, h_est: complex | None,
+    sigma2: float, rng: np.random.Generator,
+) -> np.ndarray:
+    """Decide frozen-channel data chirps on explicit despread spectra.
+
+    Each chirp's spectrum is ``gain`` times the scheme's tone pattern plus
+    ``CN(0, N*sigma2)`` noise in all N bins, equalized by ``h_est`` (None: not
+    equalized), then decided by the scheme's argmax rule.
+    """
+    spec = SCHEMES[scheme]
+    rx = apply_awgn(gain * spec.spectrum(sf, tx), (1 << sf) * sigma2, rng)
+    return spec.decide(rx if h_est is None else equalize_flat(rx, h_est))
+
+
+def explicit_frozen_frame(
+    scheme: str, channel: str, sf: int, sigma2: float, payload_symbols: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frozen flat-channel frame on explicit noise bins: (tx, detected) symbols.
+
+    Stream version 3's frozen frame: tx symbols, the 64 fade phases (fading
+    channels), the preamble estimate's CN(0, sigma2/(8N)) error (coherent
+    schemes without the genie), then every data noise bin.
+    """
+    spec = SCHEMES[scheme]
+    chan = CHANNELS[channel]
+    if chan.multipath or chan.moving:
+        raise ValueError(f"{channel} is not a frozen flat channel")
+    n = 1 << sf
+    tx = rng.integers(0, n, size=(payload_symbols, spec.streams))
+    gain = h_est = 1.0
+    if chan.fading:
+        gain = h_est = complex(FLAT_PROFILE.lag_groups(250e3).draw_weights(rng).sum())
+    if chan.fading and spec.coherent and not chan.genie:
+        err = rng.standard_normal(2) * np.sqrt(sigma2 / (16 * n))
+        h_est += complex(err[0], err[1])
+    equalized = chan.fading and spec.coherent
+    return tx, explicit_frozen_decisions(
+        scheme, sf, tx, gain, h_est if equalized else None, sigma2, rng
+    )

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,10 @@ class TestBerCommand:
             assert run_cli("ber", "--config", str(cfg), "--out", out) == 2
         assert run_cli("ber", "--es", "2", "--out", out) == 2
         assert run_cli("ber", "--no-truncate-est", "--out", out) == 2
+        # Eb/N0 or SNR whose noise variance leaves the floating-point range
+        for db in ("3100", "-3300", "-3085"):
+            assert run_cli("ber", "--channel", "awgn", "--ebn0", db, "--out", out) == 2
+        assert run_cli("throughput", "--snr", "3100", "--out", out) == 2
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("flag", [("--speed", "30"), ("--work", "2")])
@@ -302,3 +310,16 @@ class TestChirpCommand:
                 == 0
             )
         assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("module", ["chirplink", "chirplink.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "r.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "ber", "--ebn0", "3100", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and not out.exists()

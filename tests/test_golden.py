@@ -14,7 +14,11 @@ The sf9 table was added later under version 2.  Version 3 re-recorded only
 the 6 ``rayleigh-mobile-est`` hashes (sf7 and sf9): that channel now draws tx
 symbols, fade phases, the estimate error and the data noise bins like the
 frozen channels, and builds each data chirp's despread spectrum from a
-per-point Doppler table instead of the waveform.
+per-point Doppler table instead of the waveform.  Version 4 re-recorded only
+the 18 frozen-channel hashes (sf7 and sf9): after tx symbols, fade phases and
+the estimate error, each frozen data chirp draws its decision from the order
+statistic of its noise bins (``chirplink.orderstat``) instead of the N noise
+bins themselves.
 """
 
 import hashlib
@@ -24,18 +28,18 @@ import pytest
 import chirplink
 from chirplink.harness import SimConfig, records_to_csv, run_ber
 
-GOLDEN_STREAM_VERSION = 3
+GOLDEN_STREAM_VERSION = 4
 
 GOLDEN_SHA256 = {
-    ("awgn", "lora-noncoherent"): "053a0c5a297af7ae550f46633cb3206198f78ab873724fb441b5f2860672d23d",
-    ("awgn", "lora-coherent"): "3e2bf6f52c8f69fceb20ac679fc2cd73b82c0d39d7fadf029eaa0b1555471bb9",
-    ("awgn", "iqcss"): "208aad786db6dffee6c157c020b6e6bf67bb71fa1cca9c6c0c5ee82611aede09",
-    ("rayleigh-perfect", "lora-noncoherent"): "c55d5febb18b2b61ff8dd97efd486ebdeb6b442f96235ceccce56c830d3c2b49",
-    ("rayleigh-perfect", "lora-coherent"): "362e7a19b55066d210d39ec90a04cd918979e40b1d0d0e77cc973e963d7b65f4",
-    ("rayleigh-perfect", "iqcss"): "9f0eb58955c5f9fa99439e528f8bb56015daed232a82467bd8a05a1e34644e8a",
-    ("rayleigh-static-est", "lora-noncoherent"): "c55d5febb18b2b61ff8dd97efd486ebdeb6b442f96235ceccce56c830d3c2b49",
-    ("rayleigh-static-est", "lora-coherent"): "dd5ba03b830e46317184696259c66d96602e496328c7bbf0329cbd640a3e3638",
-    ("rayleigh-static-est", "iqcss"): "6ec354fe240e61531cc3f2012b6dbcdce3cdded47e2fe1e3be131ec14ba57567",
+    ("awgn", "lora-noncoherent"): "187918bd4255b8e9faeeea9445975f7d58844d941f12f00a64cca1cf3e5f51cb",
+    ("awgn", "lora-coherent"): "c21de0a61ccac3b98e310e071195d8b3fc647e428684d41cf45573e0faeb7223",
+    ("awgn", "iqcss"): "37234c8134db88746feb1c13bbfb452d364c3849a9f7cd240a7e6b61f09e157f",
+    ("rayleigh-perfect", "lora-noncoherent"): "ad91cb673566ffa17a2583c50d8302eecd0bad055a09dd13ac9ef37a14496719",
+    ("rayleigh-perfect", "lora-coherent"): "241293174e3c4c93dfe1829d428dc881365e51efd7de48b211ab4281444fe99b",
+    ("rayleigh-perfect", "iqcss"): "222e3130ac1543e60d5ac0430d87dc46a1b5bb40647ef13d5ecf7b8e82e02dd0",
+    ("rayleigh-static-est", "lora-noncoherent"): "ad91cb673566ffa17a2583c50d8302eecd0bad055a09dd13ac9ef37a14496719",
+    ("rayleigh-static-est", "lora-coherent"): "8d26c73ff4e96a267fd4b0e78b544f04d2293c0fa8783c49cd34e16eeadb06da",
+    ("rayleigh-static-est", "iqcss"): "ed78046b5b9153f63e62607f7c1e739a57c068e3d71dde8cd88763b12208f8ad",
     ("rayleigh-mobile-est", "lora-noncoherent"): "a4929283f76bb76d171e628a4e2fd93f2cdc0d669ce2fd652643480414025261",
     ("rayleigh-mobile-est", "lora-coherent"): "0e59074e108657c3d7ccc4f17cdda0484e69fff8c52bdfd6877caafca0ec3b52",
     ("rayleigh-mobile-est", "iqcss"): "ca8f0fc755fb86aec0b78b4fe4eba59f5bf9cd739a50aad6d5a17e1acabda560",
@@ -48,15 +52,15 @@ GOLDEN_SHA256 = {
 }
 
 GOLDEN_SF9_SHA256 = {
-    ("awgn", "lora-noncoherent"): "88416da681e03a5ee4328dc6f3b35443185efb11717085c2af1e360b855106a4",
-    ("awgn", "lora-coherent"): "0d7e5506b1761c7e44cd58581acabe8ec9f1622bc11a6ad315a8c183e29d5d71",
-    ("awgn", "iqcss"): "cb827486b655154f8ab5c498550322891a9c9761eb5e880c632f672ff7418036",
-    ("rayleigh-perfect", "lora-noncoherent"): "df20c44176d292379970d3945a6549049c18e5ff84886f9759bf178aff235e8b",
-    ("rayleigh-perfect", "lora-coherent"): "6d4512f6c2bd3d3a52aebccbadbcc1b5901d0a9d438df029cacdf3ac198585f0",
-    ("rayleigh-perfect", "iqcss"): "451f3813151f1e1473bd3b1a197ebd0fb0382356bf3852242df13cdb11201b49",
-    ("rayleigh-static-est", "lora-noncoherent"): "df20c44176d292379970d3945a6549049c18e5ff84886f9759bf178aff235e8b",
-    ("rayleigh-static-est", "lora-coherent"): "93740bc5fa30e7a34044f004c4c3c7c56b831bbff7bf7cd03848c13c645707c5",
-    ("rayleigh-static-est", "iqcss"): "03618f6fd057553024df495e9379750c6d5b3e9924a696bb651ba46b69d02619",
+    ("awgn", "lora-noncoherent"): "112f5dbb26e0556b7ba45b9cfda97880610780d0911273179689717b95574a88",
+    ("awgn", "lora-coherent"): "6df2bcff22a02a105a1df0da1ed21ddb674a5b0c35c230cb1e8a2586a723aef5",
+    ("awgn", "iqcss"): "097ec796e17c83c8438f4096f81765bfad731cd908004a156507de8d370b155b",
+    ("rayleigh-perfect", "lora-noncoherent"): "294e8acae6ab26c53c32685e9bb508092d384d64514ebb73784a27d571f6b39f",
+    ("rayleigh-perfect", "lora-coherent"): "93740bc5fa30e7a34044f004c4c3c7c56b831bbff7bf7cd03848c13c645707c5",
+    ("rayleigh-perfect", "iqcss"): "1dd7c603cd8f9805a26e424f88273ef3ffaeb15eeea769cf5aa4376c801b49b2",
+    ("rayleigh-static-est", "lora-noncoherent"): "294e8acae6ab26c53c32685e9bb508092d384d64514ebb73784a27d571f6b39f",
+    ("rayleigh-static-est", "lora-coherent"): "bb4bdea9e4b01c92dcbf51b5dc10df73760b8e7f90c2b64275532ad484b86be7",
+    ("rayleigh-static-est", "iqcss"): "826e09d24eb1521544e4484034a8c49703c625902ba63c279af177d6b2f37027",
     ("rayleigh-mobile-est", "lora-noncoherent"): "6312e7a5b6d0020455c9f17b9efb8946b9ed8ca1eae2b33c9cd313c6601a3734",
     ("rayleigh-mobile-est", "lora-coherent"): "bc5662ecb7fc2d8ee7ada8c99bf9bbd2a7149348bc97800b6f38ad9ecc1250de",
     ("rayleigh-mobile-est", "iqcss"): "1c79544ce74a312e7d2c315af7d6ac55c194148d92d272a418c079e0a854ab99",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import typing
 
 import numpy as np
@@ -67,6 +68,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="points"):
             tiny_cfg(axis_start=0.0, axis_step=1e-7, axis_stop=12.0).validate()
         tiny_cfg(axis_start=0.0, axis_step=0.012, axis_stop=11.988).validate()
+
+    @pytest.mark.parametrize("axis", ["ebn0", "snr"])
+    @pytest.mark.parametrize("db", [3100.0, -3300.0, -3085.0])
+    def test_noise_variance_out_of_float_range_rejected(self, axis, db):
+        # 10**310 overflows, 10**-330 underflows to 0, 10**-308.5 makes sigma2 inf
+        with pytest.raises(ConfigError, match="noise variance"):
+            tiny_cfg(axis=axis, axis_start=db, axis_stop=db).validate()
+
+    def test_last_axis_point_out_of_range_rejected(self):
+        with pytest.raises(ConfigError, match="4000 dB"):
+            tiny_cfg(axis_start=0.0, axis_step=1000.0, axis_stop=4000.0).validate()
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
@@ -173,6 +185,16 @@ class TestRunBer:
         parallel = records_to_csv(run_ber(dataclasses.replace(cfg, workers=2)))
         assert serial == parallel
 
+    def test_config_and_records_pickle(self):
+        # workers > 1 pickle the config; neither record keeps a per-instance dict
+        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", axis_stop=0.0)
+        (rec,) = run_ber(cfg)
+        for value in (cfg, rec):
+            assert not hasattr(value, "__dict__")
+            clone = pickle.loads(pickle.dumps(value))
+            assert clone == value and type(clone) is type(value)
+        assert pickle.loads(pickle.dumps(rec)).elapsed_s == rec.elapsed_s
+
     def test_records_hold_plain_python_scalars(self):
         (rec,) = run_ber(tiny_cfg(scheme="iqcss", axis_stop=0.0))
         for name, kind in typing.get_type_hints(SimRecord).items():
@@ -269,6 +291,6 @@ class TestThroughput:
         (rec,) = run_throughput(cfg)
         assert rec.ser == 0.0
         assert_allclose(rec.throughput_bps, 13671.875, rtol=1e-3)
-        cfg_iq = SimConfig(**{**cfg.__dict__, "scheme": "iqcss"})
+        cfg_iq = dataclasses.replace(cfg, scheme="iqcss")
         (rec_iq,) = run_throughput(cfg_iq)
         assert_allclose(rec_iq.throughput_bps, 27343.75, rtol=1e-3)
