@@ -68,19 +68,23 @@ def ls_selective(y_bar: np.ndarray, sf: int | SpreadingFactor) -> ImpulseEstimat
     return ImpulseEstimate(taps)
 
 
-def equalize_flat(x: np.ndarray, h: complex) -> np.ndarray:
+def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:
     """Zero-forcing single-tap equalizer: multiply by conj(h)/|h|^2.
 
-    ``ValueError`` unless that factor, ``conj(h) * (1 / |h|^2)``, is finite.
+    ``h`` is one gain or an array of gains that broadcasts against ``x``.
+    ``ValueError`` unless every factor, ``conj(h) * (1 / |h|^2)``, is finite.
+    ``|h|`` is ``hypot`` and its square ``pow``, as Python's ``abs(h) ** 2``.
     """
-    h = complex(h)
-    try:
-        mag2 = abs(h) ** 2
-    except OverflowError:  # |h| above ~1.3e154
-        mag2 = math.inf
-    if not (0.0 < mag2 < math.inf and 1.0 / mag2 < math.inf):
-        raise ValueError(f"cannot equalize with channel gain {h}")
-    return np.asarray(x) * (np.conj(h) / mag2)
+    h = np.asarray(h, dtype=np.complex128)
+    with np.errstate(over="ignore", divide="ignore"):  # |h| above ~1.3e154, or 0
+        mag2 = np.float_power(np.hypot(h.real, h.imag), 2.0)
+        inv = 1.0 / mag2
+    bad = ~((0.0 < mag2) & (mag2 < math.inf) & (inv < math.inf))
+    if bad.any():
+        raise ValueError(f"cannot equalize with channel gain {h[bad].flat[0]}")
+    factor = np.empty(h.shape, dtype=np.complex128)
+    factor.real, factor.imag = h.real * inv, -h.imag * inv
+    return np.asarray(x) * factor
 
 
 def equalize_fd(

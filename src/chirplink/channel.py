@@ -184,16 +184,22 @@ class TapLags:
     amplitudes: np.ndarray
     sample_rate_hz: float
 
-    def draw_weights(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``JAKES_SINUSOIDS`` phases per physical tap, in profile order.
+    def draw_phases(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``JAKES_SINUSOIDS`` phases per physical tap, in profile order: (taps, K)."""
+        return rng.uniform(0.0, 2.0 * np.pi, size=(self.amplitudes.size, JAKES_SINUSOIDS))
 
-        Returns the ``(lags, K)`` complex sinusoid weights
-        ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``, summed over the taps of each
-        lag.  A frozen fade's gain per lag is the row sum.
+    def weights(self, phases: np.ndarray) -> np.ndarray:
+        """The ``(..., lags, K)`` complex sinusoid weights of ``(..., taps, K)`` phases.
+
+        Each is ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``, summed over the taps
+        of each lag.  A frozen fade's gain per lag is the row sum.
         """
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.amplitudes.size, JAKES_SINUSOIDS))
         taps = self.amplitudes[:, None] * np.exp(1j * phases)
-        return np.add.reduceat(taps, self.first_tap, axis=0)
+        return np.add.reduceat(taps, self.first_tap, axis=-2)
+
+    def draw_weights(self, rng: np.random.Generator) -> np.ndarray:
+        """:meth:`weights` of freshly drawn phases: (lags, K)."""
+        return self.weights(self.draw_phases(rng))
 
 
 # Flat fading is the tapped delay line with one unit-power tap at lag 0.

@@ -4,7 +4,9 @@ Each frame is an independent trial whose random stream is derived from
 (seed, scheme, sf, axis point, frame index), so results do not depend on how
 frames are distributed over workers.  Frames are processed in fixed-size
 batches and the stop rule (enough bit errors, or the frame budget) is checked
-between batches, which keeps the set of simulated frames deterministic.
+between batches, which keeps the set of simulated frames deterministic.  Each
+batch goes to the workers as one contiguous frame range per worker (one range
+without workers), and a range task returns its summed error counts.
 
 Every flat channel (AWGN and flat fading, frozen over the frame or moving
 under Doppler) works on each data chirp's despread spectrum; only the
@@ -20,8 +22,11 @@ stream layout, and :data:`STREAM_VERSION` (4) names it.  A flat frame draws:
    that carry a tone, then one uniform and one wrong-winner index per chirp
    and stream.
 
-A multipath frame draws the tx symbols, the fade phases of every tap and the
-(2, samples) waveform noise normals.
+A frozen range makes each frame's draws in that order into arrays for the
+whole range, then runs their arithmetic (fade gains, tone means, decisions,
+error counts) once over the range.  Moving and multipath ranges run frame by
+frame.  A multipath frame draws the tx symbols, the fade phases of every tap
+and the (2, samples) waveform noise normals.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .chanest import ImpulseEstimate, ls_selective, equalize_flat, equalize_fd
 from .channel import (
     FLAT_PROFILE,
     FOLDED_COS,
+    JAKES_SINUSOIDS,
     ChannelRealization,
     TapLags,
     TapProfile,
@@ -255,9 +261,14 @@ def _popcount(values: np.ndarray) -> np.ndarray:
     return np.unpackbits(values[:, None].view(np.uint8), axis=1).sum(axis=1)
 
 
-def _frame_rng(cfg: SimConfig, sf: int, point_idx: int, frame_idx: int) -> np.random.Generator:
-    key = [cfg.seed, list(SCHEMES).index(cfg.scheme), sf, point_idx, frame_idx]
-    return np.random.default_rng(np.random.SeedSequence(key))
+def _stream_key(cfg: SimConfig, sf: int, point_idx: int) -> list[int]:
+    """The key prefix that every frame of one point shares."""
+    return [cfg.seed, list(SCHEMES).index(cfg.scheme), sf, point_idx]
+
+
+def _frame_rng(key: list[int], frame_idx: int) -> np.random.Generator:
+    """The generator of one frame: its own key, so no frame depends on another."""
+    return np.random.default_rng(np.random.SeedSequence(key + [frame_idx]))
 
 
 def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
@@ -274,37 +285,64 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
 
 
 def _errors(tx: np.ndarray, rx: np.ndarray, sf_int: int) -> tuple[int, int, int, int]:
+    """(bits_sent, bit_errors, symbols_sent, symbol_errors) of sent and decided symbols."""
     symbol_errors = int(np.count_nonzero(tx != rx))
     bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
     return tx.size * sf_int, bit_errors, tx.size, symbol_errors
 
 
-def _sim_frame(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, frame_idx: int
-) -> tuple[int, int, int, int]:
-    """Simulate one multipath frame on the waveform.
+def _each_frame(cfg: SimConfig, sf_int: int, point_idx: int, lo: int, hi: int, decide):
+    """Simulate frames ``[lo, hi)`` one at a time.
 
-    Returns (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    Each frame keys its generator and draws its tx symbols, then
+    ``decide(tx, rng)`` makes the frame's other draws and returns the decided
+    symbols; its temporaries are freed before the next frame.  Returns the
+    summed (bits_sent, bit_errors, symbols_sent, symbol_errors).
     """
-    sf = SpreadingFactor(sf_int)
+    key = _stream_key(cfg, sf_int, point_idx)
+    tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
+    rx = np.empty_like(tx)
+    for i in range(hi - lo):
+        rng = _frame_rng(key, lo + i)
+        tx[i] = rng.integers(0, 1 << sf_int, size=tx.shape[1:])
+        rx[i] = decide(tx[i], rng)
+    return _errors(tx, rx, sf_int)
+
+
+def _sim_range(
+    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+) -> tuple[int, int, int, int]:
+    """Simulate multipath frames ``[lo, hi)`` on the waveform, one at a time.
+
+    The frame layout and the Doppler are built once per range.
+    """
+    fcfg = FrameConfig(sf=SpreadingFactor(sf_int), payload_symbols=cfg.payload_symbols,
+                       cp_len=cfg.resolved_cp_len())
+    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if CHANNELS[cfg.channel].moving else 0.0
+    frame = partial(_sim_frame, cfg, fcfg, fd, sigma2, taps)
+    return _each_frame(cfg, sf_int, point_idx, lo, hi, frame)
+
+
+def _sim_frame(
+    cfg: SimConfig, fcfg: FrameConfig, fd: float, sigma2: float, taps: TapLags,
+    tx: np.ndarray, rng: np.random.Generator,
+) -> np.ndarray:
+    """Decide one multipath frame's symbols.
+
+    After tx it draws the fading phases, then the waveform noise.
+    """
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
-    rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
-    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cfg.resolved_cp_len())
-
-    # Draw order is part of the stream layout: tx symbols, fading phases, noise.
-    tx = rng.integers(0, sf.n, size=(cfg.payload_symbols, scheme.streams))
     frame = build_frame(fcfg, tx, cfg.scheme)
-    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
     realization = tvfs_realization(frame.size, taps, fd, rng)
     y = apply_awgn(apply_channel(frame, realization), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent and channel.genie:
         data = equalize_fd(data, ImpulseEstimate(_genie_response(realization, fcfg)))
     elif scheme.coherent:
-        est = ls_selective(average_sync(sync_up), sf)
+        est = ls_selective(average_sync(sync_up), fcfg.sf)
         data = equalize_fd(data, est.truncated(fcfg.cp_len) if fcfg.cp_len > 0 else est)
-    return _errors(tx, scheme.detect(data, sf), sf_int)
+    return scheme.detect(data, fcfg.sf)
 
 
 @lru_cache(maxsize=8)
@@ -348,6 +386,108 @@ def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
     return scheme.combine(shifted), complex((w * kernel).sum())
 
 
+def _moving_range(
+    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+) -> tuple[int, int, int, int]:
+    """Simulate ``rayleigh-mobile-est`` frames ``[lo, hi)``, one at a time."""
+    frame = partial(_moving_frame, cfg, 1 << sf_int, sigma2, taps)
+    return _each_frame(cfg, sf_int, point_idx, lo, hi, frame)
+
+
+def _moving_frame(
+    cfg: SimConfig, n: int, sigma2: float, taps: TapLags, tx: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Decide one moving flat frame on its spectra (:func:`_moving_flat`).
+
+    After tx it draws the fade phases, the estimate error, then every noise bin.
+    """
+    scheme = SCHEMES[cfg.scheme]
+    spectra, h_est = _moving_flat(cfg, n, taps.draw_weights(rng), tx)
+    if scheme.coherent:
+        err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
+        h_est += complex(err[0], err[1])
+    rx = apply_awgn(spectra, n * sigma2, rng)
+    return scheme.decide(equalize_flat(rx, h_est) if scheme.coherent else rx)
+
+
+def _frozen_range(
+    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None,
+    lo: int, hi: int,
+) -> tuple[int, int, int, int]:
+    """Simulate frozen flat-channel frames ``[lo, hi)`` as one batch.
+
+    Each frame keys its own generator and makes its draws of stream version 4
+    in order (tx symbols, fade phases, estimate error, decision draws) into
+    the batch's arrays; then one pass of arithmetic over the batch turns them
+    into fade gains, tone means and decisions (:mod:`.orderstat`).  Returns
+    the summed (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    """
+    n = 1 << sf_int
+    scheme = SCHEMES[cfg.scheme]
+    channel = CHANNELS[cfg.channel]
+    law = scheme.law
+    estimated = channel.fading and scheme.coherent and not channel.genie
+    shape = (hi - lo, cfg.payload_symbols, scheme.streams)
+    tx = np.empty(shape, dtype=np.int64)
+    phases = np.empty((hi - lo, taps.amplitudes.size, JAKES_SINUSOIDS)) if channel.fading else None
+    err = np.empty((hi - lo, 2)) if estimated else None
+    z = np.empty((hi - lo, law.normals) + shape[1:])
+    u = np.empty(shape)
+    j = np.empty(shape, dtype=np.int64)
+    key = _stream_key(cfg, sf_int, point_idx)
+    for i in range(hi - lo):
+        rng = _frame_rng(key, lo + i)
+        # Stream version 4: tx symbols, fade phases, estimate error, decision draws.
+        tx[i] = rng.integers(0, n, size=shape[1:])
+        if channel.fading:
+            phases[i] = taps.draw_phases(rng)
+        if estimated:
+            rng.standard_normal(out=err[i])
+        law.draw(tx[i], n, rng, z[i], u[i], j[i])
+
+    gain = h_est = np.ones(hi - lo, dtype=np.complex128)
+    if channel.fading:
+        gain = h_est = taps.weights(phases).reshape(hi - lo, -1).sum(axis=1)
+    if estimated:
+        h_est = gain + (err * math.sqrt(sigma2 / (16 * n))).view(np.complex128)[:, 0]
+    equalized = channel.fading and scheme.coherent
+    mean = _tone_mean(n, scheme.streams, sigma2, gain, h_est if equalized else None)
+    return _errors(tx, law.decide(tx, n, mean, z, u, j), sf_int)
+
+
+def _tone_mean(
+    n: int, streams: int, sigma2: float, gain: complex | np.ndarray,
+    h_est: complex | np.ndarray | None,
+) -> np.ndarray:
+    """Frozen frames' tone means in units of the noise deviation per quadrature.
+
+    Equalized by ``h_est`` (None: not equalized), the tone is ``gain/h_est``
+    times its height ``N/sqrt(streams)``, over noise of deviation
+    ``|1/h_est| * sqrt(N*sigma2/2)`` per quadrature: ``gain * s * k / |s|``
+    with ``s = equalize_flat(1, h_est)`` and ``k = sqrt(2N / (streams*sigma2))``,
+    in real arithmetic rounded as Python's complex operators round it.  A mean
+    beyond :data:`_MEAN_CAP` is scaled back to it.  ``gain`` and ``h_est`` are
+    one complex per frame (arrays of one shape) or scalars.
+    """
+    gain = np.asarray(gain, dtype=np.complex128)
+    k = math.sqrt(2.0 * n / (streams * sigma2))
+    if k == math.inf:  # 2N/sigma2 overflows; the cap below takes over anyway
+        k = math.sqrt(2.0 * n / streams) / math.sqrt(sigma2)
+    if h_est is None:
+        re, im = gain.real * k, gain.imag * k
+    else:
+        s = equalize_flat(1.0, h_est)
+        s_abs = np.hypot(s.real, s.imag)
+        re = (gain.real * s.real - gain.imag * s.imag) * k / s_abs
+        im = (gain.real * s.imag + gain.imag * s.real) * k / s_abs
+    size = np.hypot(re, im)
+    with np.errstate(divide="ignore"):
+        shrink = np.where(size > _MEAN_CAP, _MEAN_CAP / size, 1.0)
+    mean = np.empty(gain.shape, dtype=np.complex128)
+    mean.real, mean.imag = re * shrink, im * shrink
+    return mean
+
+
 def _flat_frame(
     cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None, frame_idx: int
 ) -> tuple[int, int, int, int]:
@@ -357,47 +497,13 @@ def _flat_frame(
     adds i.i.d. CN(0, N*sigma2) bins.  The genie knows the preamble-averaged
     gain, and the preamble LS estimate adds the projected noise of 8 averaged
     sync chirps, CN(0, sigma2 / (8N)).  A moving fade spreads each tone
-    (:func:`_moving_flat`) over explicit noise bins; a frozen one scales the
+    (:func:`_moving_range`) over explicit noise bins; a frozen one scales the
     tone pattern by one gain, and each decision is drawn from the exact order
-    statistic (:mod:`.orderstat`).
+    statistic (:func:`_frozen_range`).  Returns (bits_sent, bit_errors,
+    symbols_sent, symbol_errors).
     """
-    n = 1 << sf_int
-    scheme = SCHEMES[cfg.scheme]
-    channel = CHANNELS[cfg.channel]
-    rng = _frame_rng(cfg, sf_int, point_idx, frame_idx)
-
-    # Draw order is stream version 4: tx symbols, fade phases, estimate error,
-    # then the data noise bins (moving) or the decision draws (frozen).
-    tx = rng.integers(0, n, size=(cfg.payload_symbols, scheme.streams))
-    gain = h_est = 1.0 + 0j
-    if channel.moving:
-        spectra, h_est = _moving_flat(cfg, n, taps.draw_weights(rng), tx)
-    elif channel.fading:
-        gain = h_est = complex(taps.draw_weights(rng).sum())
-    if channel.fading and scheme.coherent and not channel.genie:
-        err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
-        h_est += complex(err[0], err[1])
-    equalize = channel.fading and scheme.coherent
-    if channel.moving:
-        rx = apply_awgn(spectra, n * sigma2, rng)
-        return _errors(tx, scheme.decide(equalize_flat(rx, h_est) if equalize else rx), sf_int)
-
-    mean = _tone_mean(n, scheme.streams, sigma2, gain, h_est if equalize else None)
-    return _errors(tx, scheme.draw_decisions(tx, n, mean, rng), sf_int)
-
-
-def _tone_mean(n: int, streams: int, sigma2: float, gain: complex, h_est: complex | None) -> complex:
-    """A frozen frame's tone mean in units of the noise deviation per quadrature.
-
-    Equalized by ``h_est`` (None: not equalized), the tone is ``gain/h_est``
-    times its height ``N/sqrt(streams)``, over noise of deviation
-    ``|1/h_est| * sqrt(N*sigma2/2)`` per quadrature.
-    """
-    scale = 1.0 if h_est is None else complex(equalize_flat(1.0, h_est))
-    mean = gain * scale * math.sqrt(2.0 * n / (streams * sigma2)) / abs(scale)
-    if abs(mean) > _MEAN_CAP:
-        mean *= _MEAN_CAP / abs(mean)
-    return mean
+    task = _moving_range if CHANNELS[cfg.channel].moving else _frozen_range
+    return task(cfg, sf_int, sigma2, point_idx, taps, frame_idx, frame_idx + 1)
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
@@ -413,15 +519,17 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
     if channel.fading:
         profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
         taps = profile.lag_groups(cfg.bandwidth_hz)
-    frame = _sim_frame if channel.multipath else _flat_frame
-    sim = partial(frame, cfg, sf, sigma2, point_idx, taps)
+    task = _sim_range if channel.multipath else _moving_range if channel.moving else _frozen_range
+    sim = partial(task, cfg, sf, sigma2, point_idx, taps)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0
     done = 0
     while done < cfg.max_frames and bit_errors < cfg.min_bit_errors:
         hi = min(done + FRAMES_PER_BATCH, cfg.max_frames)
-        results = (pool.map if pool else map)(sim, range(done, hi))
-        for b, be, s, se in results:
+        # one contiguous range of the batch per worker; sums do not depend on the split
+        cuts = [done + (hi - done) * k // cfg.workers for k in range(cfg.workers + 1)]
+        ranges = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+        for b, be, s, se in (pool.map if pool else map)(sim, *zip(*ranges)):
             bits += b
             bit_errors += be
             symbols += s

@@ -73,9 +73,14 @@ class Scheme:
     coherent: bool  # needs the channel phase removed before detection
     combine: Callable[[np.ndarray], np.ndarray]  # unit tones (..., streams, N) -> (..., N)
     decide: Callable[[np.ndarray], np.ndarray]  # spectra (..., N) -> symbols (..., streams)
-    # (tx, N, tone mean over noise deviation, rng) -> the symbols ``decide``
-    # would pick under a frozen flat channel, drawn by :mod:`.orderstat`
-    draw_decisions: Callable[..., np.ndarray]
+    law: orderstat.Law  # ``decide``'s law under a frozen flat channel
+
+    def draw_decisions(
+        self, tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The symbols ``decide`` would pick for one frozen flat frame, drawn
+        by :mod:`.orderstat` from the tone mean over the noise deviation."""
+        return self.law(tx, n, mean, rng)
 
     def _symbols(self, n: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         ks = np.asarray(symbols, dtype=np.int64)

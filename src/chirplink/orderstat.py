@@ -16,18 +16,23 @@ That is the law of the explicit-bins decision, exactly, at O(1) work per
 chirp instead of N noise bins (quasi-analytic Monte Carlo: Jeruchim, Balaban
 and Shanmugan, *Simulation of Communication Systems*, 2000).
 
-Each decision function takes the payload symbols ``tx`` (P, streams), the
-bin count ``n``, the tone's complex mean ``mean`` in units of the noise
-standard deviation per quadrature (a tone of height ``N/sqrt(streams)``
-times the channel, over that deviation) and a generator.  Per chirp and
-stream it draws, in this order over the whole frame: the noise on the
-special bins, one uniform ``U``, one wrong-winner index.  It returns the
-decided symbols (P, streams).  numpy and the standard library only.
+Each detector's :class:`Law` is called with the payload symbols ``tx``
+(P, streams), the bin count ``n``, the tone's complex mean ``mean`` in units
+of the noise standard deviation per quadrature (a tone of height
+``N/sqrt(streams)`` times the channel, over that deviation) and a generator.
+Per chirp and stream it draws, in this order over the whole frame: the noise
+on the special bins, one uniform ``U``, one wrong-winner index.  It returns
+the decided symbols (P, streams).  The draws of a frame do not depend on its
+mean, so a batch of frames can make each frame's draws (:meth:`Law.draw`)
+and then decide them all at once (``Law.decide``).  numpy and the standard
+library only.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -82,40 +87,83 @@ def log_ndtr(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decide(special, log_f, m, rng, skip_lo, skip_hi):
+def noise_bins(tx: np.ndarray, n: int) -> int | np.ndarray:
+    """M per chirp: the N bins less the distinct tone bins of its streams.
+
+    A scalar, unless some chirp of ``tx`` carries ``k_i == k_q`` on two
+    streams: then ``N - 1`` on those chirps and ``N - 2`` on the others, as an
+    array.  The wrong-winner draw takes this form, so it is part of the
+    stream layout.
+    """
+    same = tx[..., :1] == tx[..., 1:]
+    m = n - tx.shape[-1]
+    return m + same if same.any() else m
+
+
+@dataclass(frozen=True)
+class Law:
+    """One detector's decision law, split into a per-frame draw and a decision.
+
+    ``normals`` is the number of special-bin normals per chirp and stream.
+    ``decide(tx, n, mean, z, u, j)`` takes every argument with a leading frame
+    axis (``mean`` one complex per frame) and broadcasts over it.
+    """
+
+    normals: int
+    decide: Callable[..., np.ndarray]
+
+    def draw(self, tx: np.ndarray, n: int, rng: np.random.Generator, z, u, j) -> None:
+        """Draw one frame's decisions into ``z`` (normals, P, s), ``u`` and ``j`` (P, s)."""
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+        j[...] = rng.integers(0, noise_bins(tx, n), size=u.shape)
+
+    def __call__(self, tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator):
+        """One frame: draw, then decide."""
+        z, u = np.empty((self.normals,) + tx.shape), np.empty(tx.shape)
+        j = np.empty(tx.shape, dtype=np.int64)
+        self.draw(tx, n, rng, z, u, j)
+        return self.decide(tx[None], n, np.array([mean]), z[None], u[None], j[None])[0]
+
+
+def _choose(tx, n, special, log_f, u, j, skip_lo, skip_hi):
     """Winner per (chirp, stream): its best special bin or a uniform noise bin.
 
-    ``special`` (P, s) is the special bin of largest statistic per stream and
-    ``log_f`` that statistic's log-CDF; ``m`` counts the noise bins.  A wrong
-    winner ``j``, uniform in ``[0, m)``, maps to the ``j``-th bin that is
+    ``special`` is the special bin of largest statistic per stream and
+    ``log_f`` that statistic's log-CDF over the M noise bins.  The wrong
+    winner ``j``, uniform in ``[0, M)``, maps to the ``j``-th bin that is
     neither ``skip_lo`` nor ``skip_hi`` (sorted; ``skip_hi`` may be N, no bin).
     """
-    u = rng.random(special.shape)
-    j = rng.integers(0, m, size=special.shape)
-    j += j >= skip_lo
+    j = j + (j >= skip_lo)
     j += j >= skip_hi
-    return np.where(u < np.exp(m * log_f), special, j)
+    return np.where(u < np.exp(noise_bins(tx, n) * log_f), special, j)
 
 
-def noncoherent(tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator) -> np.ndarray:
+def _per_frame(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of one complex per frame, shaped to broadcast
+    over (frame, chirp, stream)."""
+    return mean.real[:, None, None], mean.imag[:, None, None]
+
+
+def _noncoherent(tx, n, mean, z, u, j):
     """Chirp-FSK by largest ``|.|^2``: one special bin, ``N - 1`` noise bins.
 
     In units of its mean, a noise bin's ``|.|^2 / 2`` is Exp(1), so
-    ``log F(x) = log1mexp(x)``.
+    ``log F(x) = log1mexp(x)``.  ``z`` holds (Re, Im) per chirp.
     """
-    z = rng.standard_normal((2,) + tx.shape)  # (Re, Im) x chirp x 1
-    x = 0.5 * ((mean.real + z[0]) ** 2 + (mean.imag + z[1]) ** 2)
-    return _decide(tx, log1mexp(x), n - 1, rng, tx, n)
+    re, im = _per_frame(mean)
+    x = 0.5 * ((re + z[:, 0]) ** 2 + (im + z[:, 1]) ** 2)
+    return _choose(tx, n, tx, log1mexp(x), u, j, tx, n)
 
 
-def coherent(tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator) -> np.ndarray:
+def _coherent(tx, n, mean, z, u, j):
     """Chirp-FSK by largest ``Re``: one special bin, ``N - 1`` noise bins,
     ``log F = log_ndtr``."""
-    x = mean.real + rng.standard_normal(tx.shape)
-    return _decide(tx, log_ndtr(x), n - 1, rng, tx, n)
+    re, _ = _per_frame(mean)
+    return _choose(tx, n, tx, log_ndtr(re + z[:, 0]), u, j, tx, n)
 
 
-def iq(tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator) -> np.ndarray:
+def _iq(tx, n, mean, z, u, j):
     """I/Q chirp by largest ``Re`` and largest ``Im``: ``log F = log_ndtr``.
 
     The quadrature tone is ``j`` times the in-phase one, so a residual
@@ -124,18 +172,23 @@ def iq(tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator) -> np.nd
     (``Re(mean)``) and k_i (``Im(mean)``).  Re and Im noise are independent,
     so are the streams, over ``N - 2`` noise bins each.  When ``k_i == k_q``
     the one tone bin has means ``Re - Im`` and ``Re + Im``, over ``N - 1``.
+    ``z`` holds bins (k_i, k_q) per chirp and stream (Re, Im).
     """
-    re, im = mean.real, mean.imag
-    z = rng.standard_normal((2,) + tx.shape)  # bins (k_i, k_q) x chirp x (Re, Im)
-    x_i = z[0] + (re, im)  # chirp x stream (Re, Im)
-    x_q = z[1] + (-im, re)
-    k_i, k_q = tx[:, :1], tx[:, 1:]
-    lo, hi, m = np.minimum(k_i, k_q), np.maximum(k_i, k_q), n - 2
+    re, im = _per_frame(mean)
+    x_i = z[:, 0] + np.concatenate([re, im], axis=-1)  # frame x chirp x stream (Re, Im)
+    leak = np.concatenate([-im, re], axis=-1)
+    x_q = z[:, 1] + leak
+    k_i, k_q = tx[..., :1], tx[..., 1:]
+    lo, hi = np.minimum(k_i, k_q), np.maximum(k_i, k_q)
     same = k_i == k_q
     if same.any():  # one tone bin: its means add up, and there is no second bin
-        x_i += same * (-im, re)
-        x_q[same[:, 0]] = -np.inf
+        x_i += same * leak
+        x_q[same[..., 0]] = -np.inf
         hi = np.where(same, n, hi)
-        m = m + same
     log_f = log_ndtr(np.maximum(x_i, x_q))
-    return _decide(np.where(x_q > x_i, k_q, k_i), log_f, m, rng, lo, hi)
+    return _choose(tx, n, np.where(x_q > x_i, k_q, k_i), log_f, u, j, lo, hi)
+
+
+noncoherent = Law(2, _noncoherent)
+coherent = Law(1, _coherent)
+iq = Law(2, _iq)

@@ -10,11 +10,14 @@ building, channel, noise, region slicing, estimation, equalization and
 detection, into the full sample-level frame.  :func:`explicit_frozen_frame`
 draws a frozen frame's despread spectra with all N noise bins of every data
 chirp and decides with the scheme's argmax rule, where the harness draws each
-decision from the order statistic.
+decision from the order statistic.  :func:`frozen_frame` is the harness's
+stream-version-4 frozen frame drawn and decided on its own, in Python complex
+scalars, where the harness decides a whole batch of frames at once.
 """
 
 from __future__ import annotations
 
+import math
 from math import comb
 
 import mpmath as mp
@@ -32,8 +35,9 @@ from chirplink.channel import (
 )
 from chirplink.chirp import SpreadingFactor, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
-from chirplink.harness import CHANNELS
+from chirplink.harness import _MEAN_CAP, CHANNELS
 from chirplink.modem import SCHEMES
+from chirplink.orderstat import log1mexp, log_ndtr
 
 mp.mp.dps = 60
 
@@ -245,3 +249,89 @@ def explicit_frozen_frame(
     return tx, explicit_frozen_decisions(
         scheme, sf, tx, gain, h_est if equalized else None, sigma2, rng
     )
+
+
+def frozen_tone_mean(n: int, streams: int, sigma2: float, gain: complex, h_est) -> complex:
+    """One frozen frame's tone mean over the noise deviation, in Python complex
+    arithmetic: ``gain * s * sqrt(2N / (streams*sigma2)) / |s|`` with
+    ``s = conj(h_est) / |h_est|^2`` (1 without ``h_est``), capped at ``_MEAN_CAP``."""
+    scale = 1.0 if h_est is None else complex(np.conj(h_est) / abs(h_est) ** 2)
+    mean = gain * scale * math.sqrt(2.0 * n / (streams * sigma2)) / abs(scale)
+    if abs(mean) > _MEAN_CAP:
+        mean *= _MEAN_CAP / abs(mean)
+    return mean
+
+
+def _frozen_choice(special, log_f, m, rng, skip_lo, skip_hi):
+    u = rng.random(special.shape)
+    j = rng.integers(0, m, size=special.shape)
+    j += j >= skip_lo
+    j += j >= skip_hi
+    return np.where(u < np.exp(m * log_f), special, j)
+
+
+def _frozen_noncoherent(tx, n, mean, rng):
+    z = rng.standard_normal((2,) + tx.shape)
+    x = 0.5 * ((mean.real + z[0]) ** 2 + (mean.imag + z[1]) ** 2)
+    return _frozen_choice(tx, log1mexp(x), n - 1, rng, tx, n)
+
+
+def _frozen_coherent(tx, n, mean, rng):
+    x = mean.real + rng.standard_normal(tx.shape)
+    return _frozen_choice(tx, log_ndtr(x), n - 1, rng, tx, n)
+
+
+def _frozen_iq(tx, n, mean, rng):
+    re, im = mean.real, mean.imag
+    z = rng.standard_normal((2,) + tx.shape)
+    x_i = z[0] + (re, im)
+    x_q = z[1] + (-im, re)
+    k_i, k_q = tx[:, :1], tx[:, 1:]
+    lo, hi, m = np.minimum(k_i, k_q), np.maximum(k_i, k_q), n - 2
+    same = k_i == k_q
+    if same.any():
+        x_i += same * (-im, re)
+        x_q[same[:, 0]] = -np.inf
+        hi = np.where(same, n, hi)
+        m = m + same
+    log_f = log_ndtr(np.maximum(x_i, x_q))
+    return _frozen_choice(np.where(x_q > x_i, k_q, k_i), log_f, m, rng, lo, hi)
+
+
+FROZEN_DECISIONS = {
+    "lora-noncoherent": _frozen_noncoherent,
+    "lora-coherent": _frozen_coherent,
+    "iqcss": _frozen_iq,
+}
+
+
+def frozen_frame(cfg, sf: int, sigma2: float, point_idx: int, frame_idx: int):
+    """One frozen flat-channel frame of stream version 4, on its own.
+
+    Keys its generator from (seed, scheme index, sf, point, frame), draws tx,
+    the 64 fade phases (fading channels), the CN(0, sigma2/(8N)) estimate
+    error (coherent schemes without the genie), then each chirp's special-bin
+    normals, uniforms and wrong-winner indices, and decides.  Returns
+    (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    """
+    spec = SCHEMES[cfg.scheme]
+    chan = CHANNELS[cfg.channel]
+    if chan.multipath or chan.moving:
+        raise ValueError(f"{cfg.channel} is not a frozen flat channel")
+    n = 1 << sf
+    key = [cfg.seed, list(SCHEMES).index(cfg.scheme), sf, point_idx, frame_idx]
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    tx = rng.integers(0, n, size=(cfg.payload_symbols, spec.streams))
+    gain = h_est = 1.0 + 0j
+    if chan.fading:
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=64)
+        gain = h_est = complex((0.125 * np.exp(1j * phases)).sum())
+    if chan.fading and spec.coherent and not chan.genie:
+        err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
+        h_est += complex(err[0], err[1])
+    equalized = chan.fading and spec.coherent
+    mean = frozen_tone_mean(n, spec.streams, sigma2, gain, h_est if equalized else None)
+    rx = FROZEN_DECISIONS[cfg.scheme](tx, n, mean, rng)
+    wrong = np.bitwise_xor(tx, rx).ravel()
+    bit_errors = sum(bin(int(v)).count("1") for v in wrong)
+    return tx.size * sf, bit_errors, tx.size, int(np.count_nonzero(wrong))

@@ -168,6 +168,15 @@ class TestEqualizeFlat:
         with pytest.raises(ValueError, match="cannot equalize"):
             equalize_flat(raw_upchirp(7), h)
 
+    def test_array_of_gains_broadcasts(self):
+        s = raw_upchirp(7)
+        h = np.array([1.0, np.exp(0.7j), 2.0 - 1.0j])
+        out = equalize_flat(s[:, None], h)
+        for i, g in enumerate(h):
+            np.testing.assert_array_equal(out[:, i], equalize_flat(s, g))
+        with pytest.raises(ValueError, match="cannot equalize"):
+            equalize_flat(s[:, None], np.array([1.0, 0.0]))
+
 
 class TestEqualizeFd:
     def test_unit_pulse_is_identity(self):
