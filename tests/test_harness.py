@@ -185,6 +185,13 @@ class TestRunBer:
         parallel = records_to_csv(run_ber(dataclasses.replace(cfg, workers=2)))
         assert serial == parallel
 
+    def test_uneven_and_empty_worker_ranges(self):
+        # three workers split a 32-frame batch 10/11/11 and the 2-frame rest 0/1/1
+        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", max_frames=34,
+                       min_bit_errors=10**9)
+        serial = records_to_csv(run_ber(cfg))
+        assert serial == records_to_csv(run_ber(dataclasses.replace(cfg, workers=3)))
+
     def test_config_and_records_pickle(self):
         # workers > 1 pickle the config; neither record keeps a per-instance dict
         cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", axis_stop=0.0)
