@@ -7,7 +7,6 @@ channel estimation, equalization and a Monte Carlo sweep harness.
 """
 
 from .chirp import (
-    SpreadingFactor,
     despread,
     dft,
     raw_downchirp,
@@ -39,7 +38,6 @@ from .channel import (
     urban_12tap_profile,
 )
 from .chanest import (
-    ImpulseEstimate,
     equalize_fd,
     equalize_flat,
     ls_flat,

@@ -11,33 +11,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
-
-
-@dataclass(frozen=True)
-class ImpulseEstimate:
-    """Length-N estimated channel impulse response."""
-
-    taps: np.ndarray
-
-    def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=np.complex128)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("taps must be a nonempty 1-D array")
-        object.__setattr__(self, "taps", taps)
-
-    def truncated(self, keep: int) -> "ImpulseEstimate":
-        """Zero all taps at delays >= ``keep`` (delays beyond the prefix are noise)."""
-        taps = self.taps.copy()
-        taps[keep:] = 0.0
-        return ImpulseEstimate(taps)
-
-    def frequency_response(self) -> np.ndarray:
-        return np.fft.fft(self.taps)
+from .chirp import check_sf, _upchirp_readonly
 
 
 def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> complex:
@@ -52,20 +29,20 @@ def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> complex:
     return complex(np.vdot(ref, rx) / energy)
 
 
-def ls_selective(y_bar: np.ndarray, sf: int | SpreadingFactor) -> ImpulseEstimate:
-    """Impulse-response estimate from the averaged, prefix-stripped sync chirp.
+def ls_selective(y_bar: np.ndarray, sf: int) -> np.ndarray:
+    """Length-N impulse-response taps from the averaged, prefix-stripped sync chirp.
 
     Computed as the circular cross-correlation of ``y_bar`` with the raw
     up-chirp scaled by 1/N, equal to the full least-squares solve because the
-    chirp's circulant matrix satisfies C^H C = N I.
+    chirp's circulant matrix satisfies C^H C = N I.  Taps at delays beyond the
+    cyclic prefix hold only noise; zero them with ``taps[cp_len:] = 0``.
     """
-    sf = as_spreading_factor(sf)
+    n = 1 << check_sf(sf)
     y = np.asarray(y_bar, dtype=np.complex128)
-    if y.shape != (sf.n,):
-        raise ValueError(f"expected averaged sync chirp of {sf.n} samples, got {y.shape}")
-    chirp_fd = np.fft.fft(_upchirp_readonly(sf.n))
-    taps = np.fft.ifft(np.fft.fft(y) * np.conj(chirp_fd)) / sf.n
-    return ImpulseEstimate(taps)
+    if y.shape != (n,):
+        raise ValueError(f"expected averaged sync chirp of {n} samples, got {y.shape}")
+    chirp_fd = np.fft.fft(_upchirp_readonly(n))
+    return np.fft.ifft(np.fft.fft(y) * np.conj(chirp_fd)) / n
 
 
 def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:
@@ -87,20 +64,22 @@ def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:
     return np.asarray(x) * factor
 
 
-def equalize_fd(
-    chirp_rx: np.ndarray, est: ImpulseEstimate, floor: float = 1e-6
-) -> np.ndarray:
+def equalize_fd(chirp_rx: np.ndarray, taps: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     """Per-bin zero-forcing equalizer for prefix-stripped chirps.
 
+    ``taps`` is the length-N impulse response (a nonempty 1-D array).
     ``chirp_rx`` may be one chirp ``(N,)`` or a batch ``(..., N)``.  Bins where
     the channel response magnitude falls below ``floor`` are regularized (the
     division uses max(|H|, floor)^2) and a RuntimeWarning is emitted.
     """
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.ndim != 1 or taps.size == 0:
+        raise ValueError("taps must be a nonempty 1-D array")
     rx = np.asarray(chirp_rx, dtype=np.complex128)
-    n = est.taps.size
+    n = taps.size
     if rx.ndim == 0 or rx.shape[-1] != n:
         raise ValueError(f"expected chirps of {n} samples, got shape {rx.shape}")
-    response = est.frequency_response()
+    response = np.fft.fft(taps)
     mag2 = np.abs(response) ** 2
     weak = mag2 < floor**2
     if np.any(weak):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .chirp import check_sf
 from .modem import get_scheme
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -54,18 +55,18 @@ def fold_weights(weights: np.ndarray) -> np.ndarray:
 
 def bits_per_symbol(sf: int, scheme: str) -> int:
     """Bits carried by one chirp: ``sf`` per data stream of the named scheme."""
-    return get_scheme(scheme).streams * sf
+    return get_scheme(scheme).streams * check_sf(sf)
 
 
 def ebn0_db_to_snr_db(ebn0_db: float, sf: int, scheme: str) -> float:
     """Convert energy-per-bit over noise density to per-sample SNR."""
-    n = 1 << sf
+    n = 1 << check_sf(sf)
     return ebn0_db + 10.0 * np.log10(bits_per_symbol(sf, scheme) / n)
 
 
 def snr_db_to_ebn0_db(snr_db: float, sf: int, scheme: str) -> float:
     """Inverse of :func:`ebn0_db_to_snr_db`."""
-    n = 1 << sf
+    n = 1 << check_sf(sf)
     return snr_db - 10.0 * np.log10(bits_per_symbol(sf, scheme) / n)
 
 
@@ -84,13 +85,14 @@ def _db_to_linear(db: float) -> float:
 def ebn0_to_sigma2(ebn0_db: float, sf: int, scheme: str) -> float:
     """Noise variance that realises ``ebn0_db`` for chirps of energy ``N``."""
     ebn0 = _db_to_linear(ebn0_db)
-    return float(1 << sf) / (bits_per_symbol(sf, scheme) * ebn0)
+    return float(1 << check_sf(sf)) / (bits_per_symbol(sf, scheme) * ebn0)
 
 
 def snr_to_sigma2(snr_db: float, sf: int) -> float:
     """Noise variance that realises a per-sample SNR for chirps of energy ``N``."""
+    n = 1 << check_sf(sf)
     snr = _db_to_linear(snr_db)
-    return float(1 << sf) / ((1 << sf) * snr)
+    return float(n) / (n * snr)
 
 
 def apply_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:

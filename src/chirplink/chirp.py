@@ -7,7 +7,7 @@ plain ``numpy`` arrays of ``complex128``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -15,26 +15,19 @@ import numpy as np
 VALID_SF = range(6, 13)
 
 
-@dataclass(frozen=True)
-class SpreadingFactor:
-    """Bits carried per chirp symbol; the symbol spans ``n = 2**sf`` samples."""
+def check_sf(sf) -> int:
+    """The spreading factor as a plain ``int``; the symbol spans ``2**sf`` samples.
 
-    sf: int
-
-    def __post_init__(self) -> None:
-        if self.sf not in VALID_SF:
-            raise ValueError(f"spreading factor must be in 6..12, got {self.sf!r}")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.sf
-
-
-def as_spreading_factor(sf: int | SpreadingFactor) -> SpreadingFactor:
-    """Coerce a plain integer to a validated :class:`SpreadingFactor`."""
-    if isinstance(sf, SpreadingFactor):
-        return sf
-    return SpreadingFactor(int(sf))
+    ``TypeError`` unless ``sf`` is an integer (``7.0`` and ``"7"`` are not),
+    ``ValueError`` outside 6..12.
+    """
+    try:
+        sf = operator.index(sf)
+    except TypeError:
+        raise TypeError(f"spreading factor must be an integer, got {sf!r}") from None
+    if sf not in VALID_SF:
+        raise ValueError(f"spreading factor must be in 6..12, got {sf!r}")
+    return sf
 
 
 @lru_cache(maxsize=None)
@@ -45,26 +38,26 @@ def _upchirp_readonly(n: int) -> np.ndarray:
     return c
 
 
-def raw_upchirp(sf: int | SpreadingFactor) -> np.ndarray:
+def raw_upchirp(sf: int) -> np.ndarray:
     """Base up-chirp ``exp(j*pi*n**2/N)`` for ``n = 0..N-1``; unit magnitude."""
-    return _upchirp_readonly(as_spreading_factor(sf).n).copy()
+    return _upchirp_readonly(1 << check_sf(sf)).copy()
 
 
-def raw_downchirp(sf: int | SpreadingFactor) -> np.ndarray:
+def raw_downchirp(sf: int) -> np.ndarray:
     """Conjugate of the base up-chirp."""
-    return np.conj(_upchirp_readonly(as_spreading_factor(sf).n))
+    return np.conj(_upchirp_readonly(1 << check_sf(sf)))
 
 
-def despread(rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
+def despread(rx: np.ndarray, sf: int) -> np.ndarray:
     """Multiply by the down-chirp, turning each chirp symbol into a pure tone.
 
     ``rx`` may be one chirp of shape ``(N,)`` or a batch ``(..., N)``.
     """
-    sf = as_spreading_factor(sf)
+    n = 1 << check_sf(sf)
     rx = np.asarray(rx)
-    if rx.ndim == 0 or rx.shape[-1] != sf.n:
-        raise ValueError(f"expected {sf.n} samples per chirp, got shape {rx.shape}")
-    return rx * np.conj(_upchirp_readonly(sf.n))
+    if rx.ndim == 0 or rx.shape[-1] != n:
+        raise ValueError(f"expected {n} samples per chirp, got shape {rx.shape}")
+    return rx * np.conj(_upchirp_readonly(n))
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -75,8 +68,8 @@ def dft(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, axis=-1)
 
 
-def spreading_gain_db(sf: int | SpreadingFactor) -> float:
+def spreading_gain_db(sf: int) -> float:
     """Processing gain 10*log10(N/sf): spread bandwidth over information rate."""
-    sf = as_spreading_factor(sf)
-    return 10.0 * np.log10(sf.n / sf.sf)
+    sf = check_sf(sf)
+    return 10.0 * np.log10((1 << sf) / sf)
 

@@ -16,10 +16,12 @@ import typing
 
 import numpy as np
 
-from .chirp import SpreadingFactor, VALID_SF, raw_upchirp, despread, dft
+from .chirp import VALID_SF, raw_upchirp, despread, dft
 from .modem import SCHEMES, lora_modulate
 from .channel import apply_awgn, snr_to_sigma2
-from .harness import CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, write_csv
+from .harness import (
+    CHANNELS, ConfigError, SimConfig, _config_sf, run_ber, run_throughput, write_csv
+)
 from .plotting import plot_records_svg
 
 _FIELD_TYPES = typing.get_type_hints(SimConfig)
@@ -153,12 +155,11 @@ def _cmd_sweep(args: argparse.Namespace, throughput: bool) -> int:
     return 0
 
 
-def _loopback_ok(scheme_name: str, sf_int: int, trials: int) -> bool:
+def _loopback_ok(scheme_name: str, sf: int, trials: int) -> bool:
     scheme = SCHEMES[scheme_name]
-    sf = SpreadingFactor(sf_int)
-    n = sf.n
-    rng = np.random.default_rng(sf_int)
-    if sf_int <= 8:
+    n = 1 << sf
+    rng = np.random.default_rng(sf)
+    if sf <= 8:
         symbols = np.arange(n)
     else:
         symbols = rng.integers(0, n, size=trials)
@@ -173,8 +174,7 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
     for sf in sfs:
-        if sf not in VALID_SF:
-            raise ConfigError(f"spreading factor {sf} outside 6..12")
+        _config_sf(sf)
     failures = 0
     for scheme in schemes:
         for sf in sfs:
@@ -185,11 +185,9 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
 
 
 def _cmd_chirp(args: argparse.Namespace) -> int:
-    if args.sf not in VALID_SF:
-        raise ConfigError(f"spreading factor {args.sf} outside 6..12")
-    sf = SpreadingFactor(args.sf)
-    if args.symbol is not None and not 0 <= args.symbol < sf.n:
-        raise ConfigError(f"symbol {args.symbol} outside 0..{sf.n - 1}")
+    sf = _config_sf(args.sf)
+    if args.symbol is not None and not 0 <= args.symbol < 1 << sf:
+        raise ConfigError(f"symbol {args.symbol} outside 0..{(1 << sf) - 1}")
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
     if args.snr_db is not None and not math.isfinite(args.snr_db):
@@ -199,7 +197,7 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
     else:
         signal = lora_modulate(sf, args.symbol)
     if args.snr_db is not None:
-        sigma2 = snr_to_sigma2(args.snr_db, sf.sf)
+        sigma2 = snr_to_sigma2(args.snr_db, sf)
         signal = apply_awgn(signal, sigma2, np.random.default_rng(args.seed))
     if args.what == "spectrum":
         values = dft(despread(signal, sf))

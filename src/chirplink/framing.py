@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly
+from .chirp import check_sf, _upchirp_readonly
 from .modem import get_scheme
 
 @dataclass(frozen=True)
@@ -29,20 +29,25 @@ class FrameConfig:
     n_sync_up: ClassVar[int] = 8
     n_sync_down: ClassVar[int] = 2
 
-    sf: SpreadingFactor
+    sf: int
     payload_symbols: int = 20
     cp_len: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sf", as_spreading_factor(self.sf))
+        object.__setattr__(self, "sf", check_sf(self.sf))
         if self.payload_symbols < 1:
             raise ValueError("payload_symbols must be >= 1")
-        if not 0 <= self.cp_len < self.sf.n:
-            raise ValueError(f"cp_len must be in [0, {self.sf.n}), got {self.cp_len}")
+        if not 0 <= self.cp_len < self.n:
+            raise ValueError(f"cp_len must be in [0, {self.n}), got {self.cp_len}")
+
+    @property
+    def n(self) -> int:
+        """Samples per chirp body, ``2**sf``."""
+        return 1 << self.sf
 
     @property
     def samples_per_chirp(self) -> int:
-        return self.sf.n + self.cp_len
+        return self.n + self.cp_len
 
     @property
     def total_chirps(self) -> int:
@@ -66,7 +71,7 @@ def build_frame(cfg: FrameConfig, payload: Sequence, scheme: str) -> np.ndarray:
         raise ValueError(
             f"payload has {len(payload)} symbols, config expects {cfg.payload_symbols}"
         )
-    n, cp = cfg.sf.n, cfg.cp_len
+    n, cp = cfg.n, cfg.cp_len
     up = _upchirp_readonly(n)
     grid = np.empty((cfg.total_chirps, cfg.samples_per_chirp), dtype=np.complex128)
     body = grid[:, cp:]

@@ -10,7 +10,10 @@ without workers), and a range task returns its summed error counts.
 
 Every flat channel (AWGN and flat fading, frozen over the frame or moving
 under Doppler) works on each data chirp's despread spectrum; only the
-multipath channels simulate the waveform.  The per-frame draw order is the
+multipath channels simulate the waveform.  Despreading and the N-point DFT
+are sqrt(N) times a unitary map, so noise adds i.i.d. CN(0, N*sigma2) bins,
+and the preamble LS estimate of a flat gain errs by the projected noise of 8
+averaged sync chirps, CN(0, sigma2 / (8N)).  The per-frame draw order is the
 stream layout, and :data:`STREAM_VERSION` (4) names it.  A flat frame draws:
 
 1. the tx symbols, (payload, streams) integers;
@@ -40,10 +43,10 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chirp import SpreadingFactor, VALID_SF
+from .chirp import check_sf
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
-from .chanest import ImpulseEstimate, ls_selective, equalize_flat, equalize_fd
+from .chanest import ls_selective, equalize_flat, equalize_fd
 from .channel import (
     FLAT_PROFILE,
     FOLDED_COS,
@@ -83,6 +86,14 @@ MAX_AXIS_POINTS = 1000
 
 class ConfigError(ValueError):
     """Invalid simulation configuration (reported before any simulation runs)."""
+
+
+def _config_sf(sf) -> int:
+    """:func:`~chirplink.chirp.check_sf`, its error raised as a :class:`ConfigError`."""
+    try:
+        return check_sf(sf)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @lru_cache(maxsize=8)
@@ -158,8 +169,7 @@ class SimConfig:
         if not self.sf_list:
             raise ConfigError("sf_list must not be empty")
         for sf in self.sf_list:
-            if sf not in VALID_SF:
-                raise ConfigError(f"spreading factor {sf} outside 6..12")
+            _config_sf(sf)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -279,19 +289,19 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
     """
     sync_up, _ = extract_regions(realization.gains, fcfg)
     means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
-    h = np.zeros(fcfg.sf.n, dtype=np.complex128)
+    h = np.zeros(fcfg.n, dtype=np.complex128)
     h[realization.delays] = means
     return h
 
 
-def _errors(tx: np.ndarray, rx: np.ndarray, sf_int: int) -> tuple[int, int, int, int]:
+def _errors(tx: np.ndarray, rx: np.ndarray, sf: int) -> tuple[int, int, int, int]:
     """(bits_sent, bit_errors, symbols_sent, symbol_errors) of sent and decided symbols."""
     symbol_errors = int(np.count_nonzero(tx != rx))
     bit_errors = int(_popcount(np.bitwise_xor(tx, rx).ravel()).sum())
-    return tx.size * sf_int, bit_errors, tx.size, symbol_errors
+    return tx.size * sf, bit_errors, tx.size, symbol_errors
 
 
-def _each_frame(cfg: SimConfig, sf_int: int, point_idx: int, lo: int, hi: int, decide):
+def _each_frame(cfg: SimConfig, sf: int, point_idx: int, lo: int, hi: int, decide):
     """Simulate frames ``[lo, hi)`` one at a time.
 
     Each frame keys its generator and draws its tx symbols, then
@@ -299,28 +309,28 @@ def _each_frame(cfg: SimConfig, sf_int: int, point_idx: int, lo: int, hi: int, d
     symbols; its temporaries are freed before the next frame.  Returns the
     summed (bits_sent, bit_errors, symbols_sent, symbol_errors).
     """
-    key = _stream_key(cfg, sf_int, point_idx)
+    key = _stream_key(cfg, sf, point_idx)
     tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
     rx = np.empty_like(tx)
     for i in range(hi - lo):
         rng = _frame_rng(key, lo + i)
-        tx[i] = rng.integers(0, 1 << sf_int, size=tx.shape[1:])
+        tx[i] = rng.integers(0, 1 << sf, size=tx.shape[1:])
         rx[i] = decide(tx[i], rng)
-    return _errors(tx, rx, sf_int)
+    return _errors(tx, rx, sf)
 
 
 def _sim_range(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
 ) -> tuple[int, int, int, int]:
     """Simulate multipath frames ``[lo, hi)`` on the waveform, one at a time.
 
     The frame layout and the Doppler are built once per range.
     """
-    fcfg = FrameConfig(sf=SpreadingFactor(sf_int), payload_symbols=cfg.payload_symbols,
+    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols,
                        cp_len=cfg.resolved_cp_len())
     fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if CHANNELS[cfg.channel].moving else 0.0
     frame = partial(_sim_frame, cfg, fcfg, fd, sigma2, taps)
-    return _each_frame(cfg, sf_int, point_idx, lo, hi, frame)
+    return _each_frame(cfg, sf, point_idx, lo, hi, frame)
 
 
 def _sim_frame(
@@ -338,10 +348,12 @@ def _sim_frame(
     y = apply_awgn(apply_channel(frame, realization), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent and channel.genie:
-        data = equalize_fd(data, ImpulseEstimate(_genie_response(realization, fcfg)))
+        data = equalize_fd(data, _genie_response(realization, fcfg))
     elif scheme.coherent:
         est = ls_selective(average_sync(sync_up), fcfg.sf)
-        data = equalize_fd(data, est.truncated(fcfg.cp_len) if fcfg.cp_len > 0 else est)
+        if fcfg.cp_len > 0:  # taps beyond the prefix are noise; est[0:] = 0 would zero all
+            est[fcfg.cp_len:] = 0.0
+        data = equalize_fd(data, est)
     return scheme.detect(data, fcfg.sf)
 
 
@@ -387,11 +399,11 @@ def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
 
 
 def _moving_range(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
 ) -> tuple[int, int, int, int]:
     """Simulate ``rayleigh-mobile-est`` frames ``[lo, hi)``, one at a time."""
-    frame = partial(_moving_frame, cfg, 1 << sf_int, sigma2, taps)
-    return _each_frame(cfg, sf_int, point_idx, lo, hi, frame)
+    frame = partial(_moving_frame, cfg, 1 << sf, sigma2, taps)
+    return _each_frame(cfg, sf, point_idx, lo, hi, frame)
 
 
 def _moving_frame(
@@ -411,18 +423,22 @@ def _moving_frame(
 
 
 def _frozen_range(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None,
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags | None,
     lo: int, hi: int,
 ) -> tuple[int, int, int, int]:
     """Simulate frozen flat-channel frames ``[lo, hi)`` as one batch.
 
-    Each frame keys its own generator and makes its draws of stream version 4
-    in order (tx symbols, fade phases, estimate error, decision draws) into
-    the batch's arrays; then one pass of arithmetic over the batch turns them
-    into fade gains, tone means and decisions (:mod:`.orderstat`).  Returns
-    the summed (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    A frozen fade scales each data chirp's tone pattern by one gain, known to
+    the genie (the preamble average) or estimated with a CN(0, sigma2 / (8N))
+    error, over i.i.d. CN(0, N*sigma2) noise bins; each decision is drawn from
+    the exact order statistic.  Each frame keys its own generator and makes
+    its draws of stream version 4 in order (tx symbols, fade phases, estimate
+    error, decision draws) into the batch's arrays; then one pass of
+    arithmetic over the batch turns them into fade gains, tone means and
+    decisions (:mod:`.orderstat`).  Returns the summed (bits_sent,
+    bit_errors, symbols_sent, symbol_errors).
     """
-    n = 1 << sf_int
+    n = 1 << sf
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     law = scheme.law
@@ -434,7 +450,7 @@ def _frozen_range(
     z = np.empty((hi - lo, law.normals) + shape[1:])
     u = np.empty(shape)
     j = np.empty(shape, dtype=np.int64)
-    key = _stream_key(cfg, sf_int, point_idx)
+    key = _stream_key(cfg, sf, point_idx)
     for i in range(hi - lo):
         rng = _frame_rng(key, lo + i)
         # Stream version 4: tx symbols, fade phases, estimate error, decision draws.
@@ -452,7 +468,7 @@ def _frozen_range(
         h_est = gain + (err * math.sqrt(sigma2 / (16 * n))).view(np.complex128)[:, 0]
     equalized = channel.fading and scheme.coherent
     mean = _tone_mean(n, scheme.streams, sigma2, gain, h_est if equalized else None)
-    return _errors(tx, law.decide(tx, n, mean, z, u, j), sf_int)
+    return _errors(tx, law.decide(tx, n, mean, z, u, j), sf)
 
 
 def _tone_mean(
@@ -486,24 +502,6 @@ def _tone_mean(
     mean = np.empty(gain.shape, dtype=np.complex128)
     mean.real, mean.imag = re * shrink, im * shrink
     return mean
-
-
-def _flat_frame(
-    cfg: SimConfig, sf_int: int, sigma2: float, point_idx: int, taps: TapLags | None, frame_idx: int
-) -> tuple[int, int, int, int]:
-    """Simulate one flat-channel frame from its despread data spectra.
-
-    Despreading and the N-point DFT are sqrt(N) times a unitary map, so noise
-    adds i.i.d. CN(0, N*sigma2) bins.  The genie knows the preamble-averaged
-    gain, and the preamble LS estimate adds the projected noise of 8 averaged
-    sync chirps, CN(0, sigma2 / (8N)).  A moving fade spreads each tone
-    (:func:`_moving_range`) over explicit noise bins; a frozen one scales the
-    tone pattern by one gain, and each decision is drawn from the exact order
-    statistic (:func:`_frozen_range`).  Returns (bits_sent, bit_errors,
-    symbols_sent, symbol_errors).
-    """
-    task = _moving_range if CHANNELS[cfg.channel].moving else _frozen_range
-    return task(cfg, sf_int, sigma2, point_idx, taps, frame_idx, frame_idx + 1)
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
@@ -554,7 +552,8 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
     )
 
 
-def _run(cfg: SimConfig) -> list[SimRecord]:
+def run_ber(cfg: SimConfig) -> list[SimRecord]:
+    """Sweep the configured axis, measuring BER/SER per (sf, point)."""
     cfg.validate()
     points = cfg.axis_points()
     pool = None
@@ -571,16 +570,11 @@ def _run(cfg: SimConfig) -> list[SimRecord]:
         ]
 
 
-def run_ber(cfg: SimConfig) -> list[SimRecord]:
-    """Sweep the configured axis, measuring BER/SER per (sf, point)."""
-    return _run(cfg)
-
-
 def run_throughput(cfg: SimConfig) -> list[SimRecord]:
     """SNR-axis sweep reporting (1 - SER) * rate; requires ``axis == "snr"``."""
     if cfg.axis != "snr":
         raise ConfigError("throughput runs sweep the per-sample SNR axis; set axis='snr'")
-    return _run(cfg)
+    return run_ber(cfg)
 
 
 def _fmt(value) -> str:

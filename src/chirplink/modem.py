@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import orderstat
-from .chirp import SpreadingFactor, as_spreading_factor, _upchirp_readonly, despread, dft
+from .chirp import check_sf, _upchirp_readonly, despread, dft
 
 
 class IqPair(NamedTuple):
@@ -75,13 +75,6 @@ class Scheme:
     decide: Callable[[np.ndarray], np.ndarray]  # spectra (..., N) -> symbols (..., streams)
     law: orderstat.Law  # ``decide``'s law under a frozen flat channel
 
-    def draw_decisions(
-        self, tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The symbols ``decide`` would pick for one frozen flat frame, drawn
-        by :mod:`.orderstat` from the tone mean over the noise deviation."""
-        return self.law(tx, n, mean, rng)
-
     def _symbols(self, n: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         ks = np.asarray(symbols, dtype=np.int64)
         if ks.shape[-1:] != (self.streams,):
@@ -90,28 +83,28 @@ class Scheme:
             raise ValueError(f"symbol outside 0..{n - 1}")
         return ks
 
-    def spectrum(self, sf: int | SpreadingFactor, symbols: np.ndarray | Sequence) -> np.ndarray:
+    def spectrum(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Despread spectra ``dft(despread(modulate(sf, symbols)))`` (..., N), built directly.
 
         Each tone of amplitude ``sqrt(1 / streams)`` despreads to one bin of
         height ``N / sqrt(streams)``: the in-phase stream's bin is real and the
         quadrature stream's imaginary.
         """
-        n = as_spreading_factor(sf).n
+        n = 1 << check_sf(sf)
         ks = self._symbols(n, symbols)
         hot = np.zeros((ks.size, n))
         hot[np.arange(ks.size), ks.ravel()] = np.sqrt(n * n / self.streams)
         return self.combine(hot.reshape(ks.shape + (n,)))
 
-    def modulate(self, sf: int | SpreadingFactor, symbols: np.ndarray | Sequence) -> np.ndarray:
+    def modulate(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Chirps of energy ``N`` carrying ``symbols`` (..., streams)."""
-        n = as_spreading_factor(sf).n
+        n = 1 << check_sf(sf)
         ks = self._symbols(n, symbols)
         amp = np.sqrt(1.0 / self.streams)
         tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
         return amp * self.combine(tones) * _upchirp_readonly(n)
 
-    def detect(self, rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
+    def detect(self, rx: np.ndarray, sf: int) -> np.ndarray:
         """Decide the symbols (..., streams) carried by chirps ``rx`` (..., N)."""
         return self.decide(dft(despread(rx, sf)))
 
@@ -131,20 +124,20 @@ def get_scheme(name: str) -> Scheme:
         raise ValueError(f"unknown scheme {name!r}; choose from {tuple(SCHEMES)}") from None
 
 
-def _one_chirp(rx: np.ndarray, sf: int | SpreadingFactor) -> np.ndarray:
-    sf = as_spreading_factor(sf)
+def _one_chirp(rx: np.ndarray, sf: int) -> np.ndarray:
+    n = 1 << check_sf(sf)
     rx = np.asarray(rx)
-    if rx.shape != (sf.n,):
-        raise ValueError(f"expected one chirp of {sf.n} samples, got shape {rx.shape}")
+    if rx.shape != (n,):
+        raise ValueError(f"expected one chirp of {n} samples, got shape {rx.shape}")
     return rx
 
 
-def lora_modulate(sf: int | SpreadingFactor, k: int) -> np.ndarray:
+def lora_modulate(sf: int, k: int) -> np.ndarray:
     """Chirp-FSK waveform: tone at bin ``k`` spread by the up-chirp, energy N."""
     return SCHEMES["lora-noncoherent"].modulate(sf, [k])
 
 
-def iqcss_modulate(sf: int | SpreadingFactor, pair: IqPair | Sequence[int]) -> np.ndarray:
+def iqcss_modulate(sf: int, pair: IqPair | Sequence[int]) -> np.ndarray:
     """Two tones on the in-phase and quadrature components of one chirp.
 
     The chirp's energy is ``N`` for every pair, including the degenerate
@@ -153,17 +146,17 @@ def iqcss_modulate(sf: int | SpreadingFactor, pair: IqPair | Sequence[int]) -> n
     return SCHEMES["iqcss"].modulate(sf, pair)
 
 
-def lora_demod_noncoherent(rx: np.ndarray, sf: int | SpreadingFactor) -> int:
+def lora_demod_noncoherent(rx: np.ndarray, sf: int) -> int:
     """Pick the despread-spectrum bin of largest magnitude (phase-blind)."""
     return int(SCHEMES["lora-noncoherent"].detect(_one_chirp(rx, sf), sf)[0])
 
 
-def lora_demod_coherent(rx_equalized: np.ndarray, sf: int | SpreadingFactor) -> int:
+def lora_demod_coherent(rx_equalized: np.ndarray, sf: int) -> int:
     """Pick the bin of largest real part; assumes channel phase already removed."""
     return int(SCHEMES["lora-coherent"].detect(_one_chirp(rx_equalized, sf), sf)[0])
 
 
-def iqcss_demodulate(rx_equalized: np.ndarray, sf: int | SpreadingFactor) -> IqPair:
+def iqcss_demodulate(rx_equalized: np.ndarray, sf: int) -> IqPair:
     """Detect the in-phase symbol from Re and the quadrature symbol from Im."""
     k_i, k_q = SCHEMES["iqcss"].detect(_one_chirp(rx_equalized, sf), sf)
     return IqPair(int(k_i), int(k_q))

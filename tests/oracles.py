@@ -33,7 +33,7 @@ from chirplink.channel import (
     max_doppler_hz,
     tvfs_realization,
 )
-from chirplink.chirp import SpreadingFactor, raw_upchirp
+from chirplink.chirp import raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.harness import _MEAN_CAP, CHANNELS
 from chirplink.modem import SCHEMES
@@ -194,18 +194,17 @@ def waveform_flat_frame(
     chan = CHANNELS[channel]
     if chan.multipath:
         raise ValueError(f"{channel} is not a flat channel")
-    sfo = SpreadingFactor(sf)
-    fcfg = FrameConfig(sf=sfo, payload_symbols=payload_symbols)
-    tx = rng.integers(0, sfo.n, size=(payload_symbols, spec.streams))
+    fcfg = FrameConfig(sf=sf, payload_symbols=payload_symbols)
+    tx = rng.integers(0, 1 << sf, size=(payload_symbols, spec.streams))
     fd = max_doppler_hz(speed_kmh, 863e6) if chan.moving else 0.0
     sync_up, data, realization = waveform_flat_rx(fcfg, tx, scheme, chan.fading, fd, sigma2, rng)
     if spec.coherent and chan.fading:
         if chan.genie:
             h = complex(realization.gains[0, 0])
         else:
-            h = ls_flat(average_sync(sync_up), raw_upchirp(sfo))
+            h = ls_flat(average_sync(sync_up), raw_upchirp(sf))
         data = equalize_flat(data, h)
-    return tx, spec.detect(data, sfo)
+    return tx, spec.detect(data, sf)
 
 
 def explicit_frozen_decisions(

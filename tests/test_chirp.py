@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from chirplink.chanest import ls_selective
+from chirplink.channel import bits_per_symbol
 from chirplink.chirp import (
-    SpreadingFactor,
+    check_sf,
     despread,
     dft,
     raw_downchirp,
     raw_upchirp,
     spreading_gain_db,
 )
+from chirplink.framing import FrameConfig
+from chirplink.harness import ConfigError, SimConfig, run_ber
+from chirplink.modem import SCHEMES, lora_modulate
 
 from oracles import direct_dft
 
@@ -19,13 +24,52 @@ ALL_SF = list(range(6, 13))
 @pytest.mark.parametrize("sf", [5, 13, 0, -1])
 def test_invalid_spreading_factor_rejected(sf):
     with pytest.raises(ValueError):
-        SpreadingFactor(sf)
+        check_sf(sf)
 
 
 @pytest.mark.parametrize("sf", ALL_SF)
 def test_symbol_length_is_power_of_two(sf):
-    assert SpreadingFactor(sf).n == 2**sf
+    assert FrameConfig(sf=sf).n == 2**sf
     assert raw_upchirp(sf).shape == (2**sf,)
+
+
+# Every public entry point that takes a spreading factor, called with one.
+SF_ENTRIES = {
+    "raw_upchirp": raw_upchirp,
+    "despread": lambda sf: despread(np.ones(128), sf),
+    "FrameConfig": lambda sf: FrameConfig(sf=sf),
+    "Scheme.modulate": lambda sf: SCHEMES["iqcss"].modulate(sf, [[0, 1]]),
+    "lora_modulate": lambda sf: lora_modulate(sf, 3),
+    "ls_selective": lambda sf: ls_selective(np.ones(128), sf),
+    "bits_per_symbol": lambda sf: bits_per_symbol(sf, "iqcss"),
+    "run_ber": lambda sf: run_ber(SimConfig(sf_list=(sf,), axis_stop=0.0, max_frames=1)),
+}
+
+
+@pytest.mark.parametrize("entry", SF_ENTRIES)
+@pytest.mark.parametrize(
+    "sf,error", [(7.9, TypeError), (7.0, TypeError), ("7", TypeError), (5, ValueError),
+                 (13, ValueError)]
+)
+def test_entry_points_reject_bad_spreading_factor(entry, sf, error, monkeypatch):
+    # a float is never truncated to an integer; run_ber reports a ConfigError
+    # before any point runs
+    def must_not_run(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr("chirplink.harness._run_point", must_not_run)
+    with pytest.raises(ConfigError if entry == "run_ber" else error, match="spreading factor"):
+        SF_ENTRIES[entry](sf)
+
+
+@pytest.mark.parametrize("entry", SF_ENTRIES)
+def test_entry_points_accept_numpy_integer(entry):
+    SF_ENTRIES[entry](np.int64(7))
+
+
+def test_numpy_integer_becomes_plain_int():
+    assert type(check_sf(np.int64(7))) is int
+    assert type(FrameConfig(sf=np.int64(7)).sf) is int
 
 
 def test_upchirp_starts_at_one():

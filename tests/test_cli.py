@@ -251,7 +251,7 @@ class TestThroughputCommand:
         def must_not_run(cfg):
             raise AssertionError("simulation started")
 
-        monkeypatch.setattr("chirplink.harness._run", must_not_run)
+        monkeypatch.setattr("chirplink.harness.run_ber", must_not_run)
         extra = ()
         if config is not None:
             path = tmp_path / "sim.cfg"
@@ -312,14 +312,38 @@ class TestChirpCommand:
         assert a.read_text() == b.read_text()
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("module", ["chirplink", "chirplink.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "r.csv"
     proc = subprocess.run(
         [sys.executable, "-m", module, "ber", "--ebn0", "3100", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and not out.exists()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a fresh interpreter: what the package, its CLI and plotting import on top
+    # of numpy, through one single-worker run_ber frame
+    code = """
+import sys
+import numpy, numpy.random
+before = set(sys.modules)
+import chirplink, chirplink.cli, chirplink.plotting
+chirplink.run_ber(chirplink.SimConfig(axis_stop=0.0, max_frames=1, workers=1))
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(new - {"chirplink"} - sys.stdlib_module_names))
+print(sorted(new & {"multiprocessing", "concurrent"}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from chirplink.chirp import SpreadingFactor, raw_upchirp, raw_downchirp
+from chirplink.chirp import raw_upchirp, raw_downchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 
 from oracles import circular_convolve
 
-SF7 = SpreadingFactor(7)
+SF7 = 7
 
 
 def make_frame(cp_len=0, scheme="lora-noncoherent", payload=None):

@@ -31,7 +31,9 @@ from chirplink.chanest import ls_flat
 from chirplink.channel import FLAT_PROFILE, max_doppler_hz
 from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync
-from chirplink.harness import SimConfig, _flat_frame, _moving_flat, _point_sigma2
+from chirplink.harness import (
+    SimConfig, _frozen_range, _moving_flat, _moving_range, _point_sigma2
+)
 
 from oracles import waveform_flat_frame, waveform_flat_rx
 
@@ -71,7 +73,8 @@ def test_despread_frames_match_waveform_reference(channel, scheme, ebn0_db):
     )
     sigma2 = _point_sigma2(cfg, SF, ebn0_db)
     taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    fast = np.array([_flat_frame(cfg, SF, sigma2, 0, taps, i)[3] for i in range(frames)])
+    task = _moving_range if channel == "rayleigh-mobile-est" else _frozen_range
+    fast = np.array([task(cfg, SF, sigma2, 0, taps, i, i + 1)[3] for i in range(frames)])
 
     rng = np.random.default_rng([4711, case])
     ref = np.empty(frames, dtype=np.int64)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pickle
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -301,3 +302,20 @@ class TestThroughput:
         cfg_iq = dataclasses.replace(cfg, scheme="iqcss")
         (rec_iq,) = run_throughput(cfg_iq)
         assert_allclose(rec_iq.throughput_bps, 27343.75, rtol=1e-3)
+
+
+def test_tvfs_est_without_prefix_keeps_the_whole_estimate(tmp_path):
+    # with cp_len 0 no tap lies beyond the prefix: zeroing the estimate from
+    # cp_len on would zero all of it, and every bin would be regularized
+    profile = tmp_path / "one-tap.profile"
+    profile.write_text("0 0\n")
+    cfg = tiny_cfg(
+        scheme="lora-coherent", channel="tvfs-est", tap_profile=str(profile), cp_len=0,
+        axis_start=30.0, axis_stop=30.0, max_frames=20, min_bit_errors=100, speed_kmh=0.1,
+        seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (record,) = run_ber(cfg)
+    assert record.bits_sent == 20 * 20 * 7
+    assert record.ber <= 1e-2

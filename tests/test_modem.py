@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from chirplink.chirp import SpreadingFactor, despread, dft, raw_upchirp
+from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.channel import apply_awgn, ebn0_to_sigma2
 from chirplink.modem import (
     SCHEMES,
@@ -14,7 +14,7 @@ from chirplink.modem import (
     lora_modulate,
 )
 
-SF7 = SpreadingFactor(7)
+SF7 = 7
 
 
 class TestLoraModulate:

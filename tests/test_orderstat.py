@@ -30,7 +30,7 @@ import pytest
 from scipy.special import log_ndtr as scipy_log_ndtr
 
 from chirplink.channel import FLAT_PROFILE
-from chirplink.harness import SimConfig, _flat_frame, _point_sigma2, _popcount, _tone_mean
+from chirplink.harness import SimConfig, _frozen_range, _point_sigma2, _popcount, _tone_mean
 from chirplink.modem import SCHEMES
 from chirplink.orderstat import log1mexp, log_ndtr
 
@@ -71,7 +71,7 @@ def test_order_statistic_matches_explicit_bins(channel, scheme, sf, ebn0_db, fra
     cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(sf,), seed=12000 + case)
     sigma2 = _point_sigma2(cfg, sf, ebn0_db)
     taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    fast = np.array([_flat_frame(cfg, sf, sigma2, 0, taps, i) for i in range(frames)])
+    fast = np.array([_frozen_range(cfg, sf, sigma2, 0, taps, i, i + 1) for i in range(frames)])
     rng = np.random.default_rng([4712, case])
     ref = [explicit_frozen_frame(scheme, channel, sf, sigma2, cfg.payload_symbols, rng)
            for _ in range(frames)]
@@ -104,7 +104,7 @@ def test_iq_rotation_leakage_matches_explicit_bins(same):
         tx = tx[tx[:, 0] != tx[:, 1]]
     gain, h_est = 0.9 + 0.1j, (0.9 + 0.1j) * np.exp(0.6j)
     mean = _tone_mean(n, 2, sigma2, gain, h_est)
-    fast = SCHEMES["iqcss"].draw_decisions(tx, n, mean, np.random.default_rng(32))
+    fast = SCHEMES["iqcss"].law(tx, n, mean, np.random.default_rng(32))
     ref = explicit_frozen_decisions("iqcss", sf, tx, gain, h_est, sigma2, np.random.default_rng(33))
     for stream in (0, 1):
         e_fast = int((fast[:, stream] != tx[:, stream]).sum())
@@ -130,7 +130,7 @@ def test_wrong_winner_is_uniform_over_the_noise_bins(scheme):
     n, chirps = 64, 64_000
     symbols, mean, never = UNIFORM_CASES[scheme]
     tx = np.tile(symbols, (chirps, 1))
-    rx = SCHEMES[scheme].draw_decisions(tx, n, complex(mean), np.random.default_rng(7))
+    rx = SCHEMES[scheme].law(tx, n, complex(mean), np.random.default_rng(7))
     for stream, excluded in enumerate(never):
         counts = np.bincount(rx[:, stream], minlength=n)
         if excluded is not None:
@@ -179,4 +179,4 @@ def test_deep_tails_are_finite_and_silent():
             for sigma2 in (1e-306, 1e300):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    _flat_frame(cfg, 7, sigma2, 0, taps, 0)
+                    _frozen_range(cfg, 7, sigma2, 0, taps, 0, 1)
