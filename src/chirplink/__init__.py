@@ -13,14 +13,7 @@ from .chirp import (
     raw_upchirp,
     spreading_gain_db,
 )
-from .modem import (
-    IqPair,
-    iqcss_demodulate,
-    iqcss_modulate,
-    lora_demod_coherent,
-    lora_demod_noncoherent,
-    lora_modulate,
-)
+from .modem import SCHEMES
 from .framing import FrameConfig, average_sync, build_frame, extract_regions
 from .channel import (
     ChannelRealization,

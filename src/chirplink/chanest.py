@@ -50,18 +50,15 @@ def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:
 
     ``h`` is one gain or an array of gains that broadcasts against ``x``.
     ``ValueError`` unless every factor, ``conj(h) * (1 / |h|^2)``, is finite.
-    ``|h|`` is ``hypot`` and its square ``pow``, as Python's ``abs(h) ** 2``.
     """
     h = np.asarray(h, dtype=np.complex128)
     with np.errstate(over="ignore", divide="ignore"):  # |h| above ~1.3e154, or 0
-        mag2 = np.float_power(np.hypot(h.real, h.imag), 2.0)
+        mag2 = np.abs(h) ** 2
         inv = 1.0 / mag2
     bad = ~((0.0 < mag2) & (mag2 < math.inf) & (inv < math.inf))
     if bad.any():
         raise ValueError(f"cannot equalize with channel gain {h[bad].flat[0]}")
-    factor = np.empty(h.shape, dtype=np.complex128)
-    factor.real, factor.imag = h.real * inv, -h.imag * inv
-    return np.asarray(x) * factor
+    return np.asarray(x) * (np.conj(h) * inv)
 
 
 def equalize_fd(chirp_rx: np.ndarray, taps: np.ndarray, floor: float = 1e-6) -> np.ndarray:

@@ -17,7 +17,7 @@ import typing
 import numpy as np
 
 from .chirp import VALID_SF, raw_upchirp, despread, dft
-from .modem import SCHEMES, lora_modulate
+from .modem import SCHEMES
 from .channel import apply_awgn, snr_to_sigma2
 from .harness import (
     CHANNELS, ConfigError, SimConfig, _config_sf, run_ber, run_throughput, write_csv
@@ -195,7 +195,7 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
     if args.symbol is None:
         signal = raw_upchirp(sf)
     else:
-        signal = lora_modulate(sf, args.symbol)
+        signal = SCHEMES["lora-noncoherent"].modulate(sf, [args.symbol])
     if args.snr_db is not None:
         sigma2 = snr_to_sigma2(args.snr_db, sf)
         signal = apply_awgn(signal, sigma2, np.random.default_rng(args.seed))

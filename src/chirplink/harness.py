@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -174,6 +175,15 @@ class SimConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("max_frames", "min_bit_errors", "payload_symbols", "workers", "seed",
+                     "cp_len"):
+            value = getattr(self, name)
+            if value is None and name == "cp_len":  # the channel's default prefix
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.axis_step <= 0:
             raise ConfigError("axis step must be positive")
         if self.axis_stop < self.axis_start:
@@ -294,6 +304,11 @@ def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.nd
     return h
 
 
+def _estimate_deviation(sigma2: float, n: int) -> float:
+    """Per-quadrature deviation of the flat LS estimate's CN(0, sigma2 / (n_sync_up * N)) error."""
+    return math.sqrt(sigma2 / (2 * FrameConfig.n_sync_up * n))
+
+
 def _errors(tx: np.ndarray, rx: np.ndarray, sf: int) -> tuple[int, int, int, int]:
     """(bits_sent, bit_errors, symbols_sent, symbol_errors) of sent and decided symbols."""
     symbol_errors = int(np.count_nonzero(tx != rx))
@@ -301,36 +316,31 @@ def _errors(tx: np.ndarray, rx: np.ndarray, sf: int) -> tuple[int, int, int, int
     return tx.size * sf, bit_errors, tx.size, symbol_errors
 
 
-def _each_frame(cfg: SimConfig, sf: int, point_idx: int, lo: int, hi: int, decide):
-    """Simulate frames ``[lo, hi)`` one at a time.
+def _each_frame(
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+) -> tuple[int, int, int, int]:
+    """Simulate multipath or moving flat frames ``[lo, hi)``, one at a time.
 
-    Each frame keys its generator and draws its tx symbols, then
-    ``decide(tx, rng)`` makes the frame's other draws and returns the decided
-    symbols; its temporaries are freed before the next frame.  Returns the
-    summed (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    The frame layout and the Doppler are built once per range.  Each frame
+    keys its generator and draws its tx symbols, then :func:`_sim_frame`
+    (multipath, on the waveform) or :func:`_moving_frame` (on despread
+    spectra) makes the frame's other draws and returns the decided symbols;
+    its temporaries are freed before the next frame.  Returns the summed
+    (bits_sent, bit_errors, symbols_sent, symbol_errors).
     """
+    channel = CHANNELS[cfg.channel]
+    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols,
+                       cp_len=cfg.resolved_cp_len())
+    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
+    decide = _sim_frame if channel.multipath else _moving_frame
     key = _stream_key(cfg, sf, point_idx)
     tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
     rx = np.empty_like(tx)
     for i in range(hi - lo):
         rng = _frame_rng(key, lo + i)
         tx[i] = rng.integers(0, 1 << sf, size=tx.shape[1:])
-        rx[i] = decide(tx[i], rng)
+        rx[i] = decide(cfg, fcfg, fd, sigma2, taps, tx[i], rng)
     return _errors(tx, rx, sf)
-
-
-def _sim_range(
-    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
-) -> tuple[int, int, int, int]:
-    """Simulate multipath frames ``[lo, hi)`` on the waveform, one at a time.
-
-    The frame layout and the Doppler are built once per range.
-    """
-    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols,
-                       cp_len=cfg.resolved_cp_len())
-    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if CHANNELS[cfg.channel].moving else 0.0
-    frame = partial(_sim_frame, cfg, fcfg, fd, sigma2, taps)
-    return _each_frame(cfg, sf, point_idx, lo, hi, frame)
 
 
 def _sim_frame(
@@ -358,26 +368,27 @@ def _sim_frame(
 
 
 @lru_cache(maxsize=8)
-def _doppler_table(n: int, cp_len: int, payload_symbols: int, fd: float, rate_hz: float):
+def _doppler_table(fcfg: FrameConfig, fd: float, rate_hz: float):
     """One point's tables of a moving flat fade ``g[t] = sum_j w_j exp(1j*theta_j*t)``.
 
     ``theta_j = 2*pi*fd*FOLDED_COS[j] / rate_hz``.  ``table[d, j]`` (N, 32) is
     ``fft(exp(1j*theta_j*t))[d]`` over one chirp body, ``phases[i, j]`` is
-    ``exp(1j*theta_j*s_i)`` at data chirp i's first body sample (sync chirps and
-    prefixes counted), and ``kernel @ w`` is the fade's mean over the sync
-    up-chirp bodies.  Built in each process, never sent to workers.
+    ``exp(1j*theta_j*s_i)`` at data chirp i's first body sample in the frame
+    ``fcfg``, and ``kernel @ w`` is the fade's mean over the sync up-chirp
+    bodies.  Built in each process, never sent to workers.
     """
     theta = (2.0 * np.pi * fd / rate_hz) * FOLDED_COS
-    sync = FrameConfig.n_sync_up + FrameConfig.n_sync_down
-    starts = np.arange(sync + payload_symbols) * (n + cp_len) + cp_len
-    rotations = np.exp(1j * np.outer(starts, theta))
-    table = np.fft.fft(np.exp(1j * np.outer(np.arange(n), theta)), axis=0)
-    kernel = table[0] / n * rotations[: FrameConfig.n_sync_up].mean(axis=0)
-    table.flags.writeable = rotations.flags.writeable = kernel.flags.writeable = False
-    return table, rotations[sync:], kernel
+    sync_up, data = extract_regions(np.arange(fcfg.total_samples), fcfg)
+    phases = np.exp(1j * np.outer(data[:, 0], theta))
+    table = np.fft.fft(np.exp(1j * np.outer(np.arange(fcfg.n), theta)), axis=0)
+    kernel = table[0] / fcfg.n * np.exp(1j * np.outer(sync_up[:, 0], theta)).mean(axis=0)
+    table.flags.writeable = phases.flags.writeable = kernel.flags.writeable = False
+    return table, phases, kernel
 
 
-def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
+def _moving_flat(
+    cfg: SimConfig, fcfg: FrameConfig, fd: float, weights: np.ndarray, tx: np.ndarray
+):
     """Noiseless data spectra and preamble-averaged gain of a moving flat fade.
 
     Data chirp i spreads a tone at bin q into ``amp * v_i[(m - q) mod N]``, with
@@ -386,8 +397,8 @@ def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
     over down the columns of ``twice`` so that each shift is a window.
     """
     scheme = SCHEMES[cfg.scheme]
-    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz)
-    table, phases, kernel = _doppler_table(n, cfg.resolved_cp_len(), len(tx), fd, cfg.bandwidth_hz)
+    n = fcfg.n
+    table, phases, kernel = _doppler_table(fcfg, fd, cfg.bandwidth_hz)
     w = fold_weights(weights.ravel())
     conj_c = np.conj(np.sqrt(1.0 / scheme.streams) * w * phases)
     rows = np.stack([conj_c, 1j * conj_c], axis=1).view(np.float64).reshape(2 * len(tx), -1)
@@ -398,27 +409,20 @@ def _moving_flat(cfg: SimConfig, n: int, weights: np.ndarray, tx: np.ndarray):
     return scheme.combine(shifted), complex((w * kernel).sum())
 
 
-def _moving_range(
-    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
-) -> tuple[int, int, int, int]:
-    """Simulate ``rayleigh-mobile-est`` frames ``[lo, hi)``, one at a time."""
-    frame = partial(_moving_frame, cfg, 1 << sf, sigma2, taps)
-    return _each_frame(cfg, sf, point_idx, lo, hi, frame)
-
-
 def _moving_frame(
-    cfg: SimConfig, n: int, sigma2: float, taps: TapLags, tx: np.ndarray, rng: np.random.Generator
+    cfg: SimConfig, fcfg: FrameConfig, fd: float, sigma2: float, taps: TapLags,
+    tx: np.ndarray, rng: np.random.Generator,
 ) -> np.ndarray:
     """Decide one moving flat frame on its spectra (:func:`_moving_flat`).
 
     After tx it draws the fade phases, the estimate error, then every noise bin.
     """
     scheme = SCHEMES[cfg.scheme]
-    spectra, h_est = _moving_flat(cfg, n, taps.draw_weights(rng), tx)
+    spectra, h_est = _moving_flat(cfg, fcfg, fd, taps.draw_weights(rng), tx)
     if scheme.coherent:
-        err = rng.standard_normal(2) * math.sqrt(sigma2 / (16 * n))
+        err = rng.standard_normal(2) * _estimate_deviation(sigma2, fcfg.n)
         h_est += complex(err[0], err[1])
-    rx = apply_awgn(spectra, n * sigma2, rng)
+    rx = apply_awgn(spectra, fcfg.n * sigma2, rng)
     return scheme.decide(equalize_flat(rx, h_est) if scheme.coherent else rx)
 
 
@@ -465,7 +469,7 @@ def _frozen_range(
     if channel.fading:
         gain = h_est = taps.weights(phases).reshape(hi - lo, -1).sum(axis=1)
     if estimated:
-        h_est = gain + (err * math.sqrt(sigma2 / (16 * n))).view(np.complex128)[:, 0]
+        h_est = gain + (err * _estimate_deviation(sigma2, n)).view(np.complex128)[:, 0]
     equalized = channel.fading and scheme.coherent
     mean = _tone_mean(n, scheme.streams, sigma2, gain, h_est if equalized else None)
     return _errors(tx, law.decide(tx, n, mean, z, u, j), sf)
@@ -479,29 +483,18 @@ def _tone_mean(
 
     Equalized by ``h_est`` (None: not equalized), the tone is ``gain/h_est``
     times its height ``N/sqrt(streams)``, over noise of deviation
-    ``|1/h_est| * sqrt(N*sigma2/2)`` per quadrature: ``gain * s * k / |s|``
-    with ``s = equalize_flat(1, h_est)`` and ``k = sqrt(2N / (streams*sigma2))``,
-    in real arithmetic rounded as Python's complex operators round it.  A mean
-    beyond :data:`_MEAN_CAP` is scaled back to it.  ``gain`` and ``h_est`` are
-    one complex per frame (arrays of one shape) or scalars.
+    ``|1/h_est| * sqrt(N*sigma2/2)`` per quadrature: ``gain * k * s / |s|``
+    with ``k = sqrt(2N / streams) / sqrt(sigma2)`` and
+    ``s = equalize_flat(1, h_est)``.  A mean beyond :data:`_MEAN_CAP` is
+    scaled back to it.  ``gain`` and ``h_est`` are one complex per frame
+    (arrays of one shape) or scalars.
     """
-    gain = np.asarray(gain, dtype=np.complex128)
-    k = math.sqrt(2.0 * n / (streams * sigma2))
-    if k == math.inf:  # 2N/sigma2 overflows; the cap below takes over anyway
-        k = math.sqrt(2.0 * n / streams) / math.sqrt(sigma2)
-    if h_est is None:
-        re, im = gain.real * k, gain.imag * k
-    else:
+    k = math.sqrt(2.0 * n / streams) / math.sqrt(sigma2)
+    mean = np.asarray(gain, dtype=np.complex128) * k
+    if h_est is not None:
         s = equalize_flat(1.0, h_est)
-        s_abs = np.hypot(s.real, s.imag)
-        re = (gain.real * s.real - gain.imag * s.imag) * k / s_abs
-        im = (gain.real * s.imag + gain.imag * s.real) * k / s_abs
-    size = np.hypot(re, im)
-    with np.errstate(divide="ignore"):
-        shrink = np.where(size > _MEAN_CAP, _MEAN_CAP / size, 1.0)
-    mean = np.empty(gain.shape, dtype=np.complex128)
-    mean.real, mean.imag = re * shrink, im * shrink
-    return mean
+        mean = mean * (s / np.abs(s))
+    return mean * (_MEAN_CAP / np.maximum(np.abs(mean), _MEAN_CAP))
 
 
 def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
@@ -517,7 +510,7 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
     if channel.fading:
         profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
         taps = profile.lag_groups(cfg.bandwidth_hz)
-    task = _sim_range if channel.multipath else _moving_range if channel.moving else _frozen_range
+    task = _each_frame if channel.multipath or channel.moving else _frozen_range
     sim = partial(task, cfg, sf, sigma2, point_idx, taps)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0

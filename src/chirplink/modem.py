@@ -9,26 +9,20 @@ Two signal formats are supported:
   one on the real and one on the imaginary component, detected coherently.
 
 Every chirp has energy ``N`` (unit power per sample), the energy of the
-unit-amplitude sync chirps.
+unit-amplitude sync chirps.  Each scheme is one :class:`Scheme` in
+:data:`SCHEMES`, whose methods take a batch of chirps or symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import orderstat
 from .chirp import check_sf, _upchirp_readonly, despread, dft
-
-
-class IqPair(NamedTuple):
-    """Two independent data symbols carried by one chirp."""
-
-    k_i: int
-    k_q: int
 
 
 @lru_cache(maxsize=None)
@@ -123,40 +117,3 @@ def get_scheme(name: str) -> Scheme:
     except KeyError:
         raise ValueError(f"unknown scheme {name!r}; choose from {tuple(SCHEMES)}") from None
 
-
-def _one_chirp(rx: np.ndarray, sf: int) -> np.ndarray:
-    n = 1 << check_sf(sf)
-    rx = np.asarray(rx)
-    if rx.shape != (n,):
-        raise ValueError(f"expected one chirp of {n} samples, got shape {rx.shape}")
-    return rx
-
-
-def lora_modulate(sf: int, k: int) -> np.ndarray:
-    """Chirp-FSK waveform: tone at bin ``k`` spread by the up-chirp, energy N."""
-    return SCHEMES["lora-noncoherent"].modulate(sf, [k])
-
-
-def iqcss_modulate(sf: int, pair: IqPair | Sequence[int]) -> np.ndarray:
-    """Two tones on the in-phase and quadrature components of one chirp.
-
-    The chirp's energy is ``N`` for every pair, including the degenerate
-    ``k_i == k_q`` case where the envelope is flat at unit amplitude.
-    """
-    return SCHEMES["iqcss"].modulate(sf, pair)
-
-
-def lora_demod_noncoherent(rx: np.ndarray, sf: int) -> int:
-    """Pick the despread-spectrum bin of largest magnitude (phase-blind)."""
-    return int(SCHEMES["lora-noncoherent"].detect(_one_chirp(rx, sf), sf)[0])
-
-
-def lora_demod_coherent(rx_equalized: np.ndarray, sf: int) -> int:
-    """Pick the bin of largest real part; assumes channel phase already removed."""
-    return int(SCHEMES["lora-coherent"].detect(_one_chirp(rx_equalized, sf), sf)[0])
-
-
-def iqcss_demodulate(rx_equalized: np.ndarray, sf: int) -> IqPair:
-    """Detect the in-phase symbol from Re and the quadrature symbol from Im."""
-    k_i, k_q = SCHEMES["iqcss"].detect(_one_chirp(rx_equalized, sf), sf)
-    return IqPair(int(k_i), int(k_q))

@@ -16,15 +16,15 @@ That is the law of the explicit-bins decision, exactly, at O(1) work per
 chirp instead of N noise bins (quasi-analytic Monte Carlo: Jeruchim, Balaban
 and Shanmugan, *Simulation of Communication Systems*, 2000).
 
-Each detector's :class:`Law` is called with the payload symbols ``tx``
-(P, streams), the bin count ``n``, the tone's complex mean ``mean`` in units
-of the noise standard deviation per quadrature (a tone of height
-``N/sqrt(streams)`` times the channel, over that deviation) and a generator.
-Per chirp and stream it draws, in this order over the whole frame: the noise
-on the special bins, one uniform ``U``, one wrong-winner index.  It returns
-the decided symbols (P, streams).  The draws of a frame do not depend on its
-mean, so a batch of frames can make each frame's draws (:meth:`Law.draw`)
-and then decide them all at once (``Law.decide``).  numpy and the standard
+Each detector's :class:`Law` draws one frame from a generator, given the
+payload symbols ``tx`` (P, streams) and the bin count ``n``: per chirp and
+stream, in this order over the whole frame, the noise on the special bins,
+one uniform ``U``, one wrong-winner index (:meth:`Law.draw`).  The draws do
+not depend on the tone, so a batch of frames makes each frame's draws and
+then decides them all at once (``Law.decide``), given each frame's complex
+tone mean in units of the noise standard deviation per quadrature (a tone of
+height ``N/sqrt(streams)`` times the channel, over that deviation).  It
+returns the decided symbols (frames, P, streams).  numpy and the standard
 library only.
 """
 
@@ -117,13 +117,6 @@ class Law:
         rng.standard_normal(out=z)
         rng.random(out=u)
         j[...] = rng.integers(0, noise_bins(tx, n), size=u.shape)
-
-    def __call__(self, tx: np.ndarray, n: int, mean: complex, rng: np.random.Generator):
-        """One frame: draw, then decide."""
-        z, u = np.empty((self.normals,) + tx.shape), np.empty(tx.shape)
-        j = np.empty(tx.shape, dtype=np.int64)
-        self.draw(tx, n, rng, z, u, j)
-        return self.decide(tx[None], n, np.array([mean]), z[None], u[None], j[None])[0]
 
 
 def _choose(tx, n, special, log_f, u, j, skip_lo, skip_hi):

@@ -20,15 +20,7 @@ from chirplink.harness import (
     shannon_capacity_bps,
     symbol_rate_bps,
 )
-from chirplink.modem import (
-    SCHEMES,
-    IqPair,
-    iqcss_demodulate,
-    iqcss_modulate,
-    lora_demod_coherent,
-    lora_demod_noncoherent,
-    lora_modulate,
-)
+from chirplink.modem import SCHEMES
 
 from oracles import (
     binomial_ci_halfwidth,
@@ -58,6 +50,7 @@ def interp_crossing(points: list[tuple[float, float]], target: float) -> float:
 
 
 def test_criterion_1_exact_loopback():
+    lora, coherent, iq = SCHEMES["lora-noncoherent"], SCHEMES["lora-coherent"], SCHEMES["iqcss"]
     failures = []
     rng = np.random.default_rng(1)
     for sf in ALL_SF:
@@ -65,14 +58,14 @@ def test_criterion_1_exact_loopback():
         ks = np.arange(n) if sf <= 8 else rng.integers(0, n, size=1000)
         for k in ks:
             k = int(k)
-            x = lora_modulate(sf, k)
-            if lora_demod_noncoherent(x, sf) != k or lora_demod_coherent(x, sf) != k:
+            x = lora.modulate(sf, [k])
+            if lora.detect(x, sf)[0] != k or coherent.detect(x, sf)[0] != k:
                 failures.append((sf, k))
         n_pairs = 10_000 if sf <= 8 else 1000
         pairs = rng.integers(0, n, size=(n_pairs, 2))
         for k_i, k_q in pairs:
-            pair = IqPair(int(k_i), int(k_q))
-            if iqcss_demodulate(iqcss_modulate(sf, pair), sf) != pair:
+            pair = (int(k_i), int(k_q))
+            if tuple(iq.detect(iq.modulate(sf, pair), sf)) != pair:
                 failures.append((sf, pair))
     report(1, not failures, f"noiseless loopback identity, sf 6..12 ({failures[:3]})"
            if failures else "noiseless loopback identity holds for sf 6..12, all detectors")
@@ -350,7 +343,8 @@ def test_criterion_9_backwards_compatible_receiver():
         ks = np.arange(n) if sf <= 8 else rng.integers(0, n, size=1000)
         for k in ks:
             total += 1
-            if iqcss_demodulate(lora_modulate(sf, int(k)), sf).k_i != int(k):
+            x = SCHEMES["lora-noncoherent"].modulate(sf, [int(k)])
+            if SCHEMES["iqcss"].detect(x, sf)[0] != int(k):
                 bad += 1
     report(9, bad == 0, f"I/Q receiver recovered {total - bad}/{total} single-stream symbols")
 

@@ -14,7 +14,7 @@ from chirplink.chirp import (
 )
 from chirplink.framing import FrameConfig
 from chirplink.harness import ConfigError, SimConfig, run_ber
-from chirplink.modem import SCHEMES, lora_modulate
+from chirplink.modem import SCHEMES
 
 from oracles import direct_dft
 
@@ -39,7 +39,7 @@ SF_ENTRIES = {
     "despread": lambda sf: despread(np.ones(128), sf),
     "FrameConfig": lambda sf: FrameConfig(sf=sf),
     "Scheme.modulate": lambda sf: SCHEMES["iqcss"].modulate(sf, [[0, 1]]),
-    "lora_modulate": lambda sf: lora_modulate(sf, 3),
+    "Scheme.detect": lambda sf: SCHEMES["lora-noncoherent"].detect(np.ones(128), sf),
     "ls_selective": lambda sf: ls_selective(np.ones(128), sf),
     "bits_per_symbol": lambda sf: bits_per_symbol(sf, "iqcss"),
     "run_ber": lambda sf: run_ber(SimConfig(sf_list=(sf,), axis_stop=0.0, max_frames=1)),

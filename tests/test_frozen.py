@@ -32,7 +32,7 @@ from chirplink.channel import FLAT_PROFILE, max_doppler_hz
 from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync
 from chirplink.harness import (
-    SimConfig, _frozen_range, _moving_flat, _moving_range, _point_sigma2
+    SimConfig, _each_frame, _frozen_range, _moving_flat, _point_sigma2
 )
 
 from oracles import waveform_flat_frame, waveform_flat_rx
@@ -73,7 +73,7 @@ def test_despread_frames_match_waveform_reference(channel, scheme, ebn0_db):
     )
     sigma2 = _point_sigma2(cfg, SF, ebn0_db)
     taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    task = _moving_range if channel == "rayleigh-mobile-est" else _frozen_range
+    task = _each_frame if channel == "rayleigh-mobile-est" else _frozen_range
     fast = np.array([task(cfg, SF, sigma2, 0, taps, i, i + 1)[3] for i in range(frames)])
 
     rng = np.random.default_rng([4711, case])
@@ -104,11 +104,11 @@ def test_moving_spectra_match_waveform_chain(sf, cp_len, speed_kmh):
                     speed_kmh=speed_kmh)
     tx = np.random.default_rng([sf, cp_len]).integers(0, n, size=(cfg.payload_symbols, 2))
     weights = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz).draw_weights(np.random.default_rng(sf))
-    spectra, h = _moving_flat(cfg, n, weights, tx)
-
-    # the same 64 phases, drawn again by the waveform chain's realization
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cp_len)
     fd = max_doppler_hz(speed_kmh, cfg.carrier_hz)
+    spectra, h = _moving_flat(cfg, fcfg, fd, weights, tx)
+
+    # the same 64 phases, drawn again by the waveform chain's realization
     rng = np.random.default_rng(sf)
     sync_up, data, _ = waveform_flat_rx(fcfg, tx, "iqcss", True, fd, 0.0, rng)
     ref = dft(despread(data, sf))

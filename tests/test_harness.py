@@ -113,6 +113,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_throughput(tiny_cfg(axis="ebn0"))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_frames", 2.5), ("min_bit_errors", 1.5), ("payload_symbols", 20.0),
+         ("workers", 1.0), ("seed", 1.5), ("cp_len", 2.0)],
+    )
+    def test_integer_fields_must_be_integers(self, field, value, monkeypatch):
+        # a float is neither truncated nor left to fail inside the run
+        def must_not_run(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("chirplink.harness._run_point", must_not_run)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            run_ber(SimConfig(axis_stop=0.0, **{field: value}))
+
 
 class TestRates:
     def test_single_stream_rate(self):
@@ -129,11 +143,9 @@ class TestRates:
 class TestPopcount:
     @staticmethod
     def check_against_python_bit_count():
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 4096, size=1000)
-        got = _popcount(values)
-        want = [int(v).bit_count() for v in values]
-        assert list(got) == want
+        got = _popcount(np.arange(1 << 16))
+        want = [bin(v).count("1") for v in range(1 << 16)]
+        np.testing.assert_array_equal(got, want)
 
     def test_matches_python_bit_count(self):
         self.check_against_python_bit_count()

@@ -65,6 +65,16 @@ def bit_errors(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return _popcount(np.bitwise_xor(tx, rx).ravel()).reshape(tx.shape)
 
 
+def one_frame(scheme: str, tx: np.ndarray, n: int, mean, rng) -> np.ndarray:
+    """The decisions of one frame of ``tx`` at tone mean ``mean``: its law's draws, then its
+    decision, as a batch of one frame."""
+    law = SCHEMES[scheme].law
+    z, u = np.empty((law.normals,) + tx.shape), np.empty(tx.shape)
+    j = np.empty(tx.shape, dtype=np.int64)
+    law.draw(tx, n, rng, z, u, j)
+    return law.decide(tx[None], n, np.array([mean]), z[None], u[None], j[None])[0]
+
+
 @pytest.mark.parametrize("channel,scheme,sf,ebn0_db,frames", CASES)
 def test_order_statistic_matches_explicit_bins(channel, scheme, sf, ebn0_db, frames):
     case = CASES.index((channel, scheme, sf, ebn0_db, frames))
@@ -104,7 +114,7 @@ def test_iq_rotation_leakage_matches_explicit_bins(same):
         tx = tx[tx[:, 0] != tx[:, 1]]
     gain, h_est = 0.9 + 0.1j, (0.9 + 0.1j) * np.exp(0.6j)
     mean = _tone_mean(n, 2, sigma2, gain, h_est)
-    fast = SCHEMES["iqcss"].law(tx, n, mean, np.random.default_rng(32))
+    fast = one_frame("iqcss", tx, n, mean, np.random.default_rng(32))
     ref = explicit_frozen_decisions("iqcss", sf, tx, gain, h_est, sigma2, np.random.default_rng(33))
     for stream in (0, 1):
         e_fast = int((fast[:, stream] != tx[:, stream]).sum())
@@ -130,7 +140,7 @@ def test_wrong_winner_is_uniform_over_the_noise_bins(scheme):
     n, chirps = 64, 64_000
     symbols, mean, never = UNIFORM_CASES[scheme]
     tx = np.tile(symbols, (chirps, 1))
-    rx = SCHEMES[scheme].law(tx, n, complex(mean), np.random.default_rng(7))
+    rx = one_frame(scheme, tx, n, complex(mean), np.random.default_rng(7))
     for stream, excluded in enumerate(never):
         counts = np.bincount(rx[:, stream], minlength=n)
         if excluded is not None:
