@@ -10,12 +10,13 @@ import numpy as np
 def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: int) -> np.ndarray:
     """Per-lag sum-of-sinusoids gains g[l, i] = sum_k weights[k, l] * exp(j*w_k*i*ts).
 
-    ``weights`` has shape (K, lags) and the result (lags, n_samples).  With
-    block size ``B = isqrt(n_samples)`` and ``nb = ceil(n_samples / B)``
-    blocks, sample ``i = b*B + r`` factorizes as
-    ``exp(j*w_k*i*ts) = exp(j*w_k*b*B*ts) * exp(j*w_k*r*ts)``: a coarse
-    (nb, K) and a fine (B, K) table, K*(nb + B) exponentials in place of
-    K*n_samples, and no (K, n_samples) table.  Sample (b, r) of lag l is
+    ``weights`` has shape (K, lags) and the result (lags, n_samples); a moving
+    fade's K = 32 folded frequencies are ``2*pi*fd * FOLDED_COS``.  With block
+    size ``B = isqrt(n_samples)`` and ``nb = ceil(n_samples / B)`` blocks,
+    sample ``i = b*B + r`` factorizes as ``exp(j*w_k*i*ts) =
+    exp(j*w_k*b*B*ts) * exp(j*w_k*r*ts)``: a coarse (nb, K) and a fine (B, K)
+    table, K*(nb + B) exponentials in place of K*n_samples, and no
+    (K, n_samples) table.  Sample (b, r) of lag l is
     ``sum_k coarse[b, k] * weights[k, l] * fine[r, k]``, taken in real
     arithmetic as two length-2K dots of the interleaved (re, im) coarse terms
     with the rows ``conj(fine[r])`` and ``j*conj(fine[r])``.  ``np.einsum``

@@ -16,6 +16,8 @@ import numpy as np
 
 from .chirp import check_sf, _upchirp_readonly
 
+_FLOOR = 1e-6  # channel response magnitude below which equalize_fd regularizes a bin
+
 
 def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> complex:
     """Least-squares gain: project the received preamble onto the known one."""
@@ -61,13 +63,13 @@ def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:
     return np.asarray(x) * (np.conj(h) * inv)
 
 
-def equalize_fd(chirp_rx: np.ndarray, taps: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+def equalize_fd(chirp_rx: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Per-bin zero-forcing equalizer for prefix-stripped chirps.
 
     ``taps`` is the length-N impulse response (a nonempty 1-D array).
     ``chirp_rx`` may be one chirp ``(N,)`` or a batch ``(..., N)``.  Bins where
-    the channel response magnitude falls below ``floor`` are regularized (the
-    division uses max(|H|, floor)^2) and a RuntimeWarning is emitted.
+    the channel response magnitude falls below ``_FLOOR`` (1e-6) are regularized
+    (the division uses max(|H|, _FLOOR)^2) and a RuntimeWarning is emitted.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim != 1 or taps.size == 0:
@@ -78,14 +80,14 @@ def equalize_fd(chirp_rx: np.ndarray, taps: np.ndarray, floor: float = 1e-6) -> 
         raise ValueError(f"expected chirps of {n} samples, got shape {rx.shape}")
     response = np.fft.fft(taps)
     mag2 = np.abs(response) ** 2
-    weak = mag2 < floor**2
+    weak = mag2 < _FLOOR**2
     if np.any(weak):
         warnings.warn(
-            f"channel response below {floor:g} on {int(weak.sum())} bin(s); "
+            f"channel response below {_FLOOR:g} on {int(weak.sum())} bin(s); "
             "zero-forcing regularized there",
             RuntimeWarning,
             stacklevel=2,
         )
-        mag2 = np.maximum(mag2, floor**2)
+        mag2 = np.maximum(mag2, _FLOOR**2)
     spectrum = np.fft.fft(rx, axis=-1) * (np.conj(response) / mag2)
     return np.fft.ifft(spectrum, axis=-1)

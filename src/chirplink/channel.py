@@ -13,8 +13,9 @@ variance per sample:
 There is one fading model, the multipath tapped delay line of
 :func:`tvfs_realization`.  Flat Rayleigh fading is its one-tap profile and a
 fade frozen over the frame is its zero-Doppler case.  Each physical tap is a
-sum-of-sinusoids process: equally spaced arrival angles, independent uniform
-phases per tap, classical Doppler spectrum of maximum frequency ``v * fc / c``.
+sum of 64 sinusoids: equally spaced arrival angles, uniform phases, classical
+Doppler spectrum of maximum frequency ``v * fc / c``.  A draw is kept as each
+lag's 32 weights on the folded grid :data:`FOLDED_COS` (``TapLags.draw_weights``).
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 # Kolmogorov-Smirnov tolerance at the sample sizes used for validation.
 JAKES_SINUSOIDS = 64
 
-# Cosines of the equally spaced arrival angles: the Doppler grid, in units of
-# the maximum Doppler frequency, shared by every tap.
+# Cosines of the equally spaced arrival angles, in units of the maximum Doppler
+# frequency.  They are symmetric to a few ulps: _ARRIVAL_COS[63 - k] ==
+# _ARRIVAL_COS[k] and _ARRIVAL_COS[k + 32] == -_ARRIVAL_COS[k].  So the 64
+# sinusoids share 32 frequencies (Jakes' oscillator reduction), the Doppler grid
+# of every tap: sinusoids j and 63-j share +cos_j, and 31-j and 32+j share
+# -cos_j, for j = 0..15.
 _ARRIVAL_COS = np.cos(2.0 * np.pi * (np.arange(JAKES_SINUSOIDS) + 0.5) / JAKES_SINUSOIDS)
-
-# The grid is symmetric to a few ulps: _ARRIVAL_COS[63 - k] == _ARRIVAL_COS[k]
-# and _ARRIVAL_COS[k + 32] == -_ARRIVAL_COS[k].  So the 64 sinusoids share 32
-# frequencies (Jakes' oscillator reduction): sinusoids j and 63-j share +cos_j,
-# and 31-j and 32+j share -cos_j, for j = 0..15.
 FOLDED_COS = np.concatenate([_ARRIVAL_COS[:16], -_ARRIVAL_COS[:16]])
 
 
@@ -200,8 +200,8 @@ class TapLags:
         return np.add.reduceat(taps, self.first_tap, axis=-2)
 
     def draw_weights(self, rng: np.random.Generator) -> np.ndarray:
-        """:meth:`weights` of freshly drawn phases: (lags, K)."""
-        return self.weights(self.draw_phases(rng))
+        """:meth:`weights` of fresh phases, folded onto :data:`FOLDED_COS`: (lags, 32)."""
+        return fold_weights(self.weights(self.draw_phases(rng)))
 
 
 # Flat fading is the tapped delay line with one unit-power tap at lag 0.
@@ -264,24 +264,22 @@ class ChannelRealization:
 
 
 def tvfs_realization(
-    frame_len: int, taps: TapLags, max_doppler_hz: float, rng: np.random.Generator
+    frame_len: int, taps: TapLags, max_doppler_hz: float, weights: np.ndarray
 ) -> ChannelRealization:
-    """Multipath realization: every physical tap fades independently.
+    """Multipath realization of folded ``weights``, sampled at ``taps.sample_rate_hz``.
 
-    It is sampled at ``taps.sample_rate_hz``.  Each tap draws its own
-    ``JAKES_SINUSOIDS`` phases, in profile order.  All taps share one Doppler
-    grid, so the taps that round to the same sample lag fold into one
-    sum-of-sinusoids (:meth:`TapLags.draw_weights`).  With zero Doppler each
-    lag's gain is the constant sum of its weights.  Flat Rayleigh fading is the
-    one-tap ``FLAT_PROFILE.lag_groups(rate)``.
+    ``weights`` is a :meth:`TapLags.draw_weights` draw: every physical tap
+    fades independently, and the taps of one sample lag sum to one row of 32
+    weights on the shared :data:`FOLDED_COS` Doppler grid.  With zero Doppler
+    each lag's gain is the constant sum of its weights.  Flat Rayleigh fading
+    is the one-tap ``FLAT_PROFILE.lag_groups(rate)``.
     """
     if frame_len <= 0:
         raise ValueError("frame length must be positive")
-    weights = taps.draw_weights(rng)
     if max_doppler_hz == 0.0:
         gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (taps.lags.size, frame_len))
     else:
-        omegas = 2.0 * np.pi * max_doppler_hz * _ARRIVAL_COS
+        omegas = 2.0 * np.pi * max_doppler_hz * FOLDED_COS
         gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / taps.sample_rate_hz, frame_len)
     return ChannelRealization(delays=taps.lags, gains=gains)
 

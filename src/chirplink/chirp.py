@@ -15,16 +15,21 @@ import numpy as np
 VALID_SF = range(6, 13)
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as a plain ``int``, never truncated: ``TypeError`` for ``7.0`` or ``"7"``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_sf(sf) -> int:
     """The spreading factor as a plain ``int``; the symbol spans ``2**sf`` samples.
 
-    ``TypeError`` unless ``sf`` is an integer (``7.0`` and ``"7"`` are not),
+    ``TypeError`` unless ``sf`` is an integer (:func:`check_int`),
     ``ValueError`` outside 6..12.
     """
-    try:
-        sf = operator.index(sf)
-    except TypeError:
-        raise TypeError(f"spreading factor must be an integer, got {sf!r}") from None
+    sf = check_int(sf, "spreading factor")
     if sf not in VALID_SF:
         raise ValueError(f"spreading factor must be in 6..12, got {sf!r}")
     return sf

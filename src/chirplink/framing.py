@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .chirp import check_sf, _upchirp_readonly
+from .chirp import check_int, check_sf, _upchirp_readonly
 from .modem import get_scheme
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class FrameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sf", check_sf(self.sf))
+        for name in ("payload_symbols", "cp_len"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.payload_symbols < 1:
             raise ValueError("payload_symbols must be >= 1")
         if not 0 <= self.cp_len < self.n:

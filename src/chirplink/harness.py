@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -44,7 +43,7 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chirp import check_sf
+from .chirp import check_int, check_sf
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
 from .chanest import ls_selective, equalize_flat, equalize_fd
@@ -52,14 +51,12 @@ from .channel import (
     FLAT_PROFILE,
     FOLDED_COS,
     JAKES_SINUSOIDS,
-    ChannelRealization,
     TapLags,
     TapProfile,
     apply_awgn,
     apply_channel,
     bits_per_symbol,
     ebn0_to_sigma2,
-    fold_weights,
     load_tap_profile,
     max_doppler_hz,
     snr_to_sigma2,
@@ -181,9 +178,9 @@ class SimConfig:
             if value is None and name == "cp_len":  # the channel's default prefix
                 continue
             try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+                check_int(value, name)
+            except TypeError as exc:
+                raise ConfigError(str(exc)) from None
         if self.axis_step <= 0:
             raise ConfigError("axis step must be positive")
         if self.axis_stop < self.axis_start:
@@ -291,19 +288,6 @@ def _frame_rng(key: list[int], frame_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key + [frame_idx]))
 
 
-def _genie_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
-    """True impulse response averaged over the preamble chirp bodies.
-
-    ``tvfs-perfect`` equalizes every data chirp with it.  Under Doppler that is
-    the preamble average, not the response each data chirp actually sees.
-    """
-    sync_up, _ = extract_regions(realization.gains, fcfg)
-    means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
-    h = np.zeros(fcfg.n, dtype=np.complex128)
-    h[realization.delays] = means
-    return h
-
-
 def _estimate_deviation(sigma2: float, n: int) -> float:
     """Per-quadrature deviation of the flat LS estimate's CN(0, sigma2 / (n_sync_up * N)) error."""
     return math.sqrt(sigma2 / (2 * FrameConfig.n_sync_up * n))
@@ -354,11 +338,14 @@ def _sim_frame(
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     frame = build_frame(fcfg, tx, cfg.scheme)
-    realization = tvfs_realization(frame.size, taps, fd, rng)
-    y = apply_awgn(apply_channel(frame, realization), sigma2, rng)
+    w = taps.draw_weights(rng)
+    y = apply_awgn(apply_channel(frame, tvfs_realization(frame.size, taps, fd, w)), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent and channel.genie:
-        data = equalize_fd(data, _genie_response(realization, fcfg))
+        _, _, kernel = _doppler_table(fcfg, fd, cfg.bandwidth_hz)
+        h = np.zeros(fcfg.n, dtype=np.complex128)
+        h[taps.lags] = (w * kernel).sum(axis=1)
+        data = equalize_fd(data, h)
     elif scheme.coherent:
         est = ls_selective(average_sync(sync_up), fcfg.sf)
         if fcfg.cp_len > 0:  # taps beyond the prefix are noise; est[0:] = 0 would zero all
@@ -369,13 +356,14 @@ def _sim_frame(
 
 @lru_cache(maxsize=8)
 def _doppler_table(fcfg: FrameConfig, fd: float, rate_hz: float):
-    """One point's tables of a moving flat fade ``g[t] = sum_j w_j exp(1j*theta_j*t)``.
+    """One point's tables of one lag ``g[t] = sum_j w_j exp(1j*theta_j*t)`` of a moving fade.
 
-    ``theta_j = 2*pi*fd*FOLDED_COS[j] / rate_hz``.  ``table[d, j]`` (N, 32) is
-    ``fft(exp(1j*theta_j*t))[d]`` over one chirp body, ``phases[i, j]`` is
-    ``exp(1j*theta_j*s_i)`` at data chirp i's first body sample in the frame
-    ``fcfg``, and ``kernel @ w`` is the fade's mean over the sync up-chirp
-    bodies.  Built in each process, never sent to workers.
+    ``w`` is the lag's folded weights, ``theta_j = 2*pi*fd*FOLDED_COS[j] / rate_hz``.
+    ``table[d, j]`` (N, 32) is ``fft(exp(1j*theta_j*t))[d]`` over one chirp body,
+    ``phases[i, j]`` is ``exp(1j*theta_j*s_i)`` at data chirp i's first body
+    sample in the frame ``fcfg``, and ``kernel @ w`` is the fade's mean over the
+    sync up-chirp bodies, for the flat estimate and the multipath genie alike.
+    Built in each process, never sent to workers.
     """
     theta = (2.0 * np.pi * fd / rate_hz) * FOLDED_COS
     sync_up, data = extract_regions(np.arange(fcfg.total_samples), fcfg)
@@ -399,7 +387,7 @@ def _moving_flat(
     scheme = SCHEMES[cfg.scheme]
     n = fcfg.n
     table, phases, kernel = _doppler_table(fcfg, fd, cfg.bandwidth_hz)
-    w = fold_weights(weights.ravel())
+    w = weights.ravel()
     conj_c = np.conj(np.sqrt(1.0 / scheme.streams) * w * phases)
     rows = np.stack([conj_c, 1j * conj_c], axis=1).view(np.float64).reshape(2 * len(tx), -1)
     twice = np.empty((2 * n, len(tx)), dtype=np.complex128)

@@ -70,12 +70,14 @@ class Scheme:
     law: orderstat.Law  # ``decide``'s law under a frozen flat channel
 
     def _symbols(self, n: int, symbols: np.ndarray | Sequence) -> np.ndarray:
-        ks = np.asarray(symbols, dtype=np.int64)
+        ks = np.asarray(symbols)
+        if ks.size and ks.dtype.kind not in "iu":  # never truncated, like ``sf``
+            raise TypeError(f"symbols must be integers, got dtype {ks.dtype}")
         if ks.shape[-1:] != (self.streams,):
             raise ValueError(f"expected {self.streams} symbol(s) per chirp, got shape {ks.shape}")
         if ks.size and (ks.min() < 0 or ks.max() >= n):
             raise ValueError(f"symbol outside 0..{n - 1}")
-        return ks
+        return ks.astype(np.int64, copy=False)
 
     def spectrum(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Despread spectra ``dft(despread(modulate(sf, symbols)))`` (..., N), built directly.

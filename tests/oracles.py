@@ -13,6 +13,9 @@ chirp and decides with the scheme's argmax rule, where the harness draws each
 decision from the order statistic.  :func:`frozen_frame` is the harness's
 stream-version-4 frozen frame drawn and decided on its own, in Python complex
 scalars, where the harness decides a whole batch of frames at once.
+:func:`preamble_mean_response` averages a waveform realization's sample gains
+over the sync up-chirp bodies, where the harness's multipath genie contracts
+the folded weights with a Doppler kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from scipy.stats import norm
 from chirplink.chanest import equalize_flat, ls_flat
 from chirplink.channel import (
     FLAT_PROFILE,
+    ChannelRealization,
     apply_awgn,
     apply_channel,
     max_doppler_hz,
@@ -109,6 +113,15 @@ def sos_tap_gains_per_lag(
     return lags, gains
 
 
+def preamble_mean_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
+    """Length-N impulse response: each lag's sample gains averaged over the sync up-chirp bodies."""
+    sync_up, _ = extract_regions(realization.gains, fcfg)
+    means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
+    h = np.zeros(fcfg.n, dtype=np.complex128)
+    h[realization.delays] = means
+    return h
+
+
 def noncoherent_mary_ser(es_over_n0: float, m: int) -> float:
     """Exact symbol error rate of non-coherent M-ary orthogonal signaling.
 
@@ -166,7 +179,7 @@ def waveform_flat_rx(
     realization = None
     if fading:
         taps = FLAT_PROFILE.lag_groups(250e3)
-        realization = tvfs_realization(y.size, taps, fd, rng)
+        realization = tvfs_realization(y.size, taps, fd, taps.draw_weights(rng))
         y = apply_channel(y, realization)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
@@ -240,7 +253,8 @@ def explicit_frozen_frame(
     tx = rng.integers(0, n, size=(payload_symbols, spec.streams))
     gain = h_est = 1.0
     if chan.fading:
-        gain = h_est = complex(FLAT_PROFILE.lag_groups(250e3).draw_weights(rng).sum())
+        taps = FLAT_PROFILE.lag_groups(250e3)
+        gain = h_est = complex(taps.weights(taps.draw_phases(rng)).sum())
     if chan.fading and spec.coherent and not chan.genie:
         err = rng.standard_normal(2) * np.sqrt(sigma2 / (16 * n))
         h_est += complex(err[0], err[1])

@@ -264,7 +264,8 @@ def _paired_rayleigh_ber(ebn0_db: float, n_frames: int, seed: int) -> tuple[floa
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         tx = rng.integers(0, n, size=(fcfg.payload_symbols, 2))
         frame = build_frame(fcfg, tx, "iqcss")
-        h = tvfs_realization(frame.size, FLAT_PROFILE.lag_groups(250e3), 0.0, rng).gains[0, 0]
+        taps = FLAT_PROFILE.lag_groups(250e3)
+        h = tvfs_realization(frame.size, taps, 0.0, taps.draw_weights(rng)).gains[0, 0]
         y = apply_awgn(h * frame, sigma2, rng)
         sync_up, data = extract_regions(y, fcfg)
         data_mat = np.asarray(data)

@@ -131,7 +131,8 @@ class TestDoppler:
 
 def flat_fade(frame_len, fd, rate, rng):
     """Flat Rayleigh fading: the one-tap profile's realization."""
-    return tvfs_realization(frame_len, FLAT_PROFILE.lag_groups(rate), fd, rng)
+    taps = FLAT_PROFILE.lag_groups(rate)
+    return tvfs_realization(frame_len, taps, fd, taps.draw_weights(rng))
 
 
 class TestFlatRayleigh:
@@ -179,7 +180,7 @@ class TestFlatRayleigh:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_frozen_gain_from_weights_equals_realization(self, seed):
-        # frozen-channel frames take their gain from the weight draw itself
+        # a zero-Doppler realization's gain is the sum of its folded weights
         rate = 250e3
         real = flat_fade(1, 0.0, rate, np.random.default_rng(seed))
         h = FLAT_PROFILE.lag_groups(rate).draw_weights(np.random.default_rng(seed)).sum()
@@ -197,7 +198,8 @@ class TestFoldedDopplerGrid:
         assert np.abs(_ARRIVAL_COS[(k + 32) % 64] + _ARRIVAL_COS).max() <= tol
 
     def test_folded_weights_give_the_same_fade(self):
-        weights = FLAT_PROFILE.lag_groups(250e3).draw_weights(np.random.default_rng(4))[0]
+        taps = FLAT_PROFILE.lag_groups(250e3)
+        weights = taps.weights(taps.draw_phases(np.random.default_rng(4)))[0]
         theta = 2 * np.pi * 400.0 / 250e3
         t = np.arange(0, 200_000, 997)[:, None]
         full = np.exp(1j * theta * t * _ARRIVAL_COS) @ weights
@@ -275,7 +277,8 @@ class TestTvfs:
         rng = np.random.default_rng(31)
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         profile = TapProfile.from_db([0.0, 4.0, 12.0], [0.0, -3.0, -6.0])
-        real = tvfs_realization(x.size, profile.lag_groups(250e3), 0.0, np.random.default_rng(5))
+        taps = profile.lag_groups(250e3)
+        real = tvfs_realization(x.size, taps, 0.0, taps.draw_weights(np.random.default_rng(5)))
         # zero doppler: every tap gain is constant in time
         assert np.all(real.gains == real.gains[:, :1])
         y = apply_channel(x, real)
@@ -286,7 +289,8 @@ class TestTvfs:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         profile = TapProfile.from_db([0.0, 8.0], [0.0, -2.0])
-        real = tvfs_realization(x.size, profile.lag_groups(250e3), 500.0, rng)
+        taps = profile.lag_groups(250e3)
+        real = tvfs_realization(x.size, taps, 500.0, taps.draw_weights(rng))
         assert not np.all(real.gains == real.gains[:, :1])
         assert_allclose(
             apply_channel(x, real),
@@ -302,15 +306,15 @@ class TestTvfs:
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            y = apply_channel(x, tvfs_realization(x.size, taps, 0.0, rng))
+            y = apply_channel(x, tvfs_realization(x.size, taps, 0.0, taps.draw_weights(rng)))
             total += np.sum(np.abs(y) ** 2)
         # edge truncation loses a sliver of the delayed taps' energy
         assert abs(total / trials / np.sum(np.abs(x) ** 2) - 1.0) < 0.02
 
     def test_same_seed_reproduces_realization(self):
         taps = urban_12tap_profile().lag_groups(250e3)
-        a = tvfs_realization(256, taps, 10.0, np.random.default_rng(77))
-        b = tvfs_realization(256, taps, 10.0, np.random.default_rng(77))
+        a = tvfs_realization(256, taps, 10.0, taps.draw_weights(np.random.default_rng(77)))
+        b = tvfs_realization(256, taps, 10.0, taps.draw_weights(np.random.default_rng(77)))
         assert_array_equal(a.gains, b.gains)
         assert_array_equal(a.delays, b.delays)
 
@@ -320,7 +324,8 @@ class TestTvfs:
         # twelve separately synthesized taps added per lag
         profile = urban_12tap_profile()
         n = 2000
-        real = tvfs_realization(n, profile.lag_groups(250e3), fd, np.random.default_rng(404))
+        taps = profile.lag_groups(250e3)
+        real = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(404)))
         rng = np.random.default_rng(404)
         phases = np.array([rng.uniform(0.0, 2 * np.pi, size=64) for _ in range(profile.n_taps)])
         lags, want = sos_tap_gains_per_lag(
@@ -329,6 +334,24 @@ class TestTvfs:
         assert_array_equal(real.delays, [0, 1])
         assert_array_equal(lags, [0, 1])
         assert_allclose(real.gains, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("speed_kmh", [0.1, 60.0, 500.0])
+    @pytest.mark.parametrize("rate,n_lags", [(250e3, 2), (2e6, 7)])
+    @pytest.mark.parametrize("n", [4320, 30720])
+    def test_folded_trace_matches_unfolded_sinusoids(self, n, rate, n_lags, speed_kmh):
+        # the 32 folded frequencies against every tap's 64 sinusoids summed
+        # one by one, over frame-sized traces and up to 400 Hz of Doppler
+        profile = urban_12tap_profile()
+        taps = profile.lag_groups(rate)
+        fd = max_doppler_hz(speed_kmh, 863e6)
+        real = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(n)))
+        phases = taps.draw_phases(np.random.default_rng(n))
+        lags, want = sos_tap_gains_per_lag(
+            profile.sample_delays(rate), profile.powers, phases, fd, rate, n
+        )
+        assert_array_equal(real.delays, lags)
+        assert lags.size == n_lags
+        assert_allclose(real.gains, want, rtol=0, atol=1e-11)
 
     def test_repeated_delays_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

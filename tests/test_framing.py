@@ -116,6 +116,26 @@ def test_config_rejects_prefix_longer_than_chirp():
         FrameConfig(sf=SF7, cp_len=128)
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, 4.0, "4"])
+@pytest.mark.parametrize("field", ["payload_symbols", "cp_len"])
+def test_config_rejects_non_integer_counts(field, value):
+    # like the spreading factor, a count is never truncated or parsed
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        FrameConfig(sf=SF7, **{field: value})
+
+
+def test_config_keeps_integer_counts_as_plain_ints():
+    cfg = FrameConfig(sf=SF7, payload_symbols=np.int32(3), cp_len=np.uint16(4))
+    assert type(cfg.payload_symbols) is int and type(cfg.cp_len) is int
+    assert cfg.total_samples == 13 * 132
+
+
+def test_build_rejects_float_symbols():
+    cfg = FrameConfig(sf=SF7, payload_symbols=1)
+    with pytest.raises(TypeError, match="symbols must be integers"):
+        build_frame(cfg, [9.99], "lora-noncoherent")
+
+
 def test_average_sync_identity():
     s = np.exp(1j * np.linspace(0, 3, 128))
     assert_allclose(average_sync([s] * 8), s, atol=1e-15)

@@ -19,7 +19,9 @@ cases with probability below 2.3e-3 (union bound).  The seeds are fixed, so
 the outcome is reproducible.
 
 The moving channel is also checked bin by bin: with the noise off, its data
-spectra and preamble estimate match the waveform chain to rounding.
+spectra and preamble estimate match the waveform chain to rounding.  The
+multipath genie takes the same preamble mean of the folded weights, which
+matches the waveform trace's sample gains averaged over the sync chirps.
 """
 
 import math
@@ -28,14 +30,14 @@ import numpy as np
 import pytest
 
 from chirplink.chanest import ls_flat
-from chirplink.channel import FLAT_PROFILE, max_doppler_hz
+from chirplink.channel import FLAT_PROFILE, max_doppler_hz, tvfs_realization, urban_12tap_profile
 from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync
 from chirplink.harness import (
-    SimConfig, _each_frame, _frozen_range, _moving_flat, _point_sigma2
+    SimConfig, _doppler_table, _each_frame, _frozen_range, _moving_flat, _point_sigma2
 )
 
-from oracles import waveform_flat_frame, waveform_flat_rx
+from oracles import preamble_mean_response, waveform_flat_frame, waveform_flat_rx
 
 SF = 7
 Z_MAX = 4.0
@@ -116,3 +118,21 @@ def test_moving_spectra_match_waveform_chain(sf, cp_len, speed_kmh):
 
     assert np.abs(spectra - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(h - ref_h) <= 1e-12 * abs(ref_h)
+
+
+@pytest.mark.parametrize("speed_kmh", [0.0, 0.1, 60.0, 500.0])
+@pytest.mark.parametrize("cp_len", [16, 40])
+@pytest.mark.parametrize("sf", [7, 10, 12])
+def test_kernel_genie_matches_sample_averaged_preamble(sf, cp_len, speed_kmh):
+    cfg = SimConfig(scheme="iqcss", channel="tvfs-perfect", sf_list=(sf,), cp_len=cp_len,
+                    speed_kmh=speed_kmh)
+    taps = urban_12tap_profile().lag_groups(cfg.bandwidth_hz)
+    weights = taps.draw_weights(np.random.default_rng([sf, cp_len]))
+    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cp_len)
+    fd = max_doppler_hz(speed_kmh, cfg.carrier_hz)
+    _, _, kernel = _doppler_table(fcfg, fd, cfg.bandwidth_hz)
+    h = np.zeros(fcfg.n, dtype=np.complex128)
+    h[taps.lags] = (weights * kernel).sum(axis=1)
+
+    ref = preamble_mean_response(tvfs_realization(fcfg.total_samples, taps, fd, weights), fcfg)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -166,3 +166,21 @@ def test_spectrum_is_despread_dft_of_modulate(name, sf):
 def test_spectrum_rejects_out_of_range_symbols():
     with pytest.raises(ValueError):
         SCHEMES["iqcss"].spectrum(SF7, [[0, 128]])
+
+
+@pytest.mark.parametrize("symbols", [[3.7], [3.0], np.array([5.0]), [True]])
+@pytest.mark.parametrize("method", ["modulate", "spectrum"])
+def test_non_integer_symbols_rejected(method, symbols):
+    # a float symbol is never truncated to the integer below it
+    with pytest.raises(TypeError, match="symbols must be integers"):
+        getattr(LORA, method)(SF7, symbols)
+    with pytest.raises(TypeError, match="symbols must be integers"):
+        getattr(IQ, method)(SF7, [[5.9, 1.2]])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+def test_integer_symbol_dtypes_accepted(dtype):
+    pairs = np.array([[5, 1], [127, 0]], dtype=dtype)
+    assert_array_equal(IQ.detect(IQ.modulate(SF7, pairs), SF7), pairs)
+    assert_array_equal(LORA.detect(LORA.modulate(SF7, [[5], [127]]), SF7), [[5], [127]])
+    assert LORA.modulate(SF7, np.empty((0, 1))).shape == (0, 128)
