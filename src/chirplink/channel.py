@@ -191,17 +191,18 @@ class TapLags:
         return rng.uniform(0.0, 2.0 * np.pi, size=(self.amplitudes.size, JAKES_SINUSOIDS))
 
     def weights(self, phases: np.ndarray) -> np.ndarray:
-        """The ``(..., lags, K)`` complex sinusoid weights of ``(..., taps, K)`` phases.
+        """The ``(..., lags, 32)`` folded weights of ``(..., taps, K)`` phases.
 
-        Each is ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``, summed over the taps
-        of each lag.  A frozen fade's gain per lag is the row sum.
+        Each sinusoid's weight is ``sqrt(p_l) * exp(j*phi_lk) / sqrt(K)``; they
+        are summed over the taps of each lag and folded onto
+        :data:`FOLDED_COS`.  A frozen fade's gain per lag is the row sum.
         """
         taps = self.amplitudes[:, None] * np.exp(1j * phases)
-        return np.add.reduceat(taps, self.first_tap, axis=-2)
+        return fold_weights(np.add.reduceat(taps, self.first_tap, axis=-2))
 
     def draw_weights(self, rng: np.random.Generator) -> np.ndarray:
-        """:meth:`weights` of fresh phases, folded onto :data:`FOLDED_COS`: (lags, 32)."""
-        return fold_weights(self.weights(self.draw_phases(rng)))
+        """:meth:`weights` of fresh phases: (lags, 32)."""
+        return self.weights(self.draw_phases(rng))
 
 
 # Flat fading is the tapped delay line with one unit-power tap at lag 0.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import typing
 
@@ -45,7 +44,7 @@ def _field_type(name: str) -> tuple[type, bool]:
 
 def _parse_sf_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad spreading-factor list {text!r}") from exc
 
@@ -190,14 +189,17 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
         raise ConfigError(f"symbol {args.symbol} outside 0..{(1 << sf) - 1}")
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if args.snr_db is not None and not math.isfinite(args.snr_db):
-        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    sigma2 = None
+    if args.snr_db is not None:
+        try:  # non-finite, or a noise variance outside the floating-point range
+            sigma2 = snr_to_sigma2(args.snr_db, sf)
+        except ValueError as exc:
+            raise ConfigError(f"--snr-db: {exc}") from None
     if args.symbol is None:
         signal = raw_upchirp(sf)
     else:
         signal = SCHEMES["lora-noncoherent"].modulate(sf, [args.symbol])
-    if args.snr_db is not None:
-        sigma2 = snr_to_sigma2(args.snr_db, sf)
+    if sigma2 is not None:
         signal = apply_awgn(signal, sigma2, np.random.default_rng(args.seed))
     if args.what == "spectrum":
         values = dft(despread(signal, sf))

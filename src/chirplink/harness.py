@@ -2,11 +2,11 @@
 
 Each frame is an independent trial whose random stream is derived from
 (seed, scheme, sf, axis point, frame index), so results do not depend on how
-frames are distributed over workers.  Frames are processed in fixed-size
-batches and the stop rule (enough bit errors, or the frame budget) is checked
-between batches, which keeps the set of simulated frames deterministic.  Each
-batch goes to the workers as one contiguous frame range per worker (one range
-without workers), and a range task returns its summed error counts.
+the work is split.  Frames are processed in fixed-size batches and the stop
+rule (enough bit errors, or the frame budget) is checked between batches,
+which keeps the set of simulated frames deterministic.  Each batch is one call
+of a range task, which returns its summed error counts, and a whole sweep
+point is one worker's task.
 
 Every flat channel (AWGN and flat fading, frozen over the frame or moving
 under Doppler) works on each data chirp's despread spectrum; only the
@@ -34,7 +34,6 @@ and the (2, samples) waveform noise normals.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -491,7 +490,7 @@ def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
     return snr_to_sigma2(axis_db, sf)
 
 
-def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) -> SimRecord:
+def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float) -> SimRecord:
     sigma2 = _point_sigma2(cfg, sf, axis_db)
     channel = CHANNELS[cfg.channel]
     taps = None
@@ -499,20 +498,16 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
         profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
         taps = profile.lag_groups(cfg.bandwidth_hz)
     task = _each_frame if channel.multipath or channel.moving else _frozen_range
-    sim = partial(task, cfg, sf, sigma2, point_idx, taps)
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0
     done = 0
     while done < cfg.max_frames and bit_errors < cfg.min_bit_errors:
         hi = min(done + FRAMES_PER_BATCH, cfg.max_frames)
-        # one contiguous range of the batch per worker; sums do not depend on the split
-        cuts = [done + (hi - done) * k // cfg.workers for k in range(cfg.workers + 1)]
-        ranges = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-        for b, be, s, se in (pool.map if pool else map)(sim, *zip(*ranges)):
-            bits += b
-            bit_errors += be
-            symbols += s
-            symbol_errors += se
+        b, be, s, se = task(cfg, sf, sigma2, point_idx, taps, done, hi)
+        bits += b
+        bit_errors += be
+        symbols += s
+        symbol_errors += se
         done = hi
     ser = symbol_errors / symbols
     rate = symbol_rate_bps(sf, cfg.scheme, cfg.bandwidth_hz)
@@ -534,21 +529,20 @@ def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float, pool) ->
 
 
 def run_ber(cfg: SimConfig) -> list[SimRecord]:
-    """Sweep the configured axis, measuring BER/SER per (sf, point)."""
-    cfg.validate()
-    points = cfg.axis_points()
-    pool = None
-    if cfg.workers > 1:
-        # Imported on demand, so single-worker runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    """Sweep the configured axis, measuring BER/SER per (sf, point), one point per task.
 
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
-    with pool or contextlib.nullcontext():
-        return [
-            _run_point(cfg, sf, idx, db, pool)
-            for sf in cfg.sf_list
-            for idx, db in enumerate(points)
-        ]
+    One worker or one point runs in this process; otherwise at most one process per point.
+    """
+    cfg.validate()
+    points = [(sf, idx, db) for sf in cfg.sf_list for idx, db in enumerate(cfg.axis_points())]
+    workers = min(cfg.workers, len(points))
+    if workers == 1:
+        return [_run_point(cfg, *point) for point in points]
+    # Imported on demand, so in-process runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(partial(_run_point, cfg), *zip(*points)))
 
 
 def run_throughput(cfg: SimConfig) -> list[SimRecord]:

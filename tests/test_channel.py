@@ -199,7 +199,7 @@ class TestFoldedDopplerGrid:
 
     def test_folded_weights_give_the_same_fade(self):
         taps = FLAT_PROFILE.lag_groups(250e3)
-        weights = taps.weights(taps.draw_phases(np.random.default_rng(4)))[0]
+        weights = taps.amplitudes[0] * np.exp(1j * taps.draw_phases(np.random.default_rng(4))[0])
         theta = 2 * np.pi * 400.0 / 250e3
         t = np.arange(0, 200_000, 997)[:, None]
         full = np.exp(1j * theta * t * _ARRIVAL_COS) @ weights

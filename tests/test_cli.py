@@ -153,7 +153,7 @@ class TestBerCommand:
         assert run_cli("chirp", "--sf", "20", "--out", out) == 2
         assert run_cli("chirp", "--sf", "7", "-k", "128", "--out", out) == 2
         assert run_cli("chirp", "--sf", "7", "--seed", "-1", "--out", out) == 2
-        for snr in ("nan", "inf", "-inf"):
+        for snr in ("nan", "inf", "-inf", "4000", "-4000"):
             assert run_cli("chirp", "--sf", "7", f"--snr-db={snr}", "--out", out) == 2
         assert run_cli("loopback", "--sf", "9", "--trials", "-1") == 2
         # a tap profile on a channel without multipath would be silently ignored
@@ -176,6 +176,23 @@ class TestBerCommand:
             assert run_cli("ber", "--channel", "awgn", "--ebn0", db, "--out", out) == 2
         assert run_cli("throughput", "--snr", "3100", "--out", out) == 2
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("sf", ["7,,8", "7,", ",7"])
+    @pytest.mark.parametrize("command", ["ber", "throughput", "config", "loopback"])
+    def test_empty_sf_list_item_exits_2(self, tmp_path, command, sf):
+        # an empty item is rejected, not dropped
+        out = tmp_path / "r.csv"
+        run = {
+            "ber": ("ber", "--sf", sf, "--ebn0", "10"),
+            "throughput": ("throughput", "--sf", sf, "--snr", "0"),
+            "config": ("ber", "--config", str(tmp_path / "sim.cfg"), "--ebn0", "10"),
+            "loopback": ("loopback", "--sf", sf),
+        }[command]
+        (tmp_path / "sim.cfg").write_text(f"sf_list = {sf}\n")
+        if command != "loopback":
+            run += ("--max-frames", "1", "--out", str(out))
+        assert run_cli(*run) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--speed", "30"), ("--work", "2")])
     def test_abbreviated_flag_exits_2(self, tmp_path, flag):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import pickle
@@ -198,12 +199,49 @@ class TestRunBer:
         parallel = records_to_csv(run_ber(dataclasses.replace(cfg, workers=2)))
         assert serial == parallel
 
-    def test_uneven_and_empty_worker_ranges(self):
-        # three workers split a 32-frame batch 10/11/11 and the 2-frame rest 0/1/1
-        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", max_frames=34,
-                       min_bit_errors=10**9)
+    def test_more_workers_than_points(self):
+        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", axis_stop=2.0)
         serial = records_to_csv(run_ber(cfg))
         assert serial == records_to_csv(run_ber(dataclasses.replace(cfg, workers=3)))
+
+    def test_points_that_stop_early_keep_their_order(self):
+        # the 0 dB points stop on errors after one batch, the others run 70 frames
+        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est", sf_list=(7, 8),
+                       axis_step=30.0, axis_stop=60.0, max_frames=70, min_bit_errors=100)
+        records = run_ber(cfg)
+        frames = [r.bits_sent // (20 * 2 * r.sf) for r in records]
+        assert frames == [32, 70, 70, 32, 70, 70]
+        assert [r.censored for r in records] == [False, True, True, False, True, True]
+        serial = records_to_csv(records)
+        assert serial == records_to_csv(run_ber(dataclasses.replace(cfg, workers=2)))
+
+    def test_one_process_per_point_at_most(self, monkeypatch):
+        class InlineExecutor:
+            """Runs the map in this process and records the processes asked for."""
+
+            asked: list[int] = []
+
+            def __init__(self, max_workers):
+                self.asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est")
+        serial = records_to_csv(run_ber(cfg))
+        assert InlineExecutor.asked == []
+        assert serial == records_to_csv(run_ber(dataclasses.replace(cfg, workers=64)))
+        assert InlineExecutor.asked == [3]
+        one_point = dataclasses.replace(cfg, axis_stop=0.0)
+        run_ber(dataclasses.replace(one_point, workers=4))
+        assert InlineExecutor.asked == [3]
 
     def test_config_and_records_pickle(self):
         # workers > 1 pickle the config; neither record keeps a per-instance dict
