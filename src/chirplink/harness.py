@@ -6,7 +6,7 @@ the work is split.  Frames are processed in fixed-size batches and the stop
 rule (enough bit errors, or the frame budget) is checked between batches,
 which keeps the set of simulated frames deterministic.  Each batch is one call
 of a range task, which returns its summed error counts, and a whole sweep
-point is one worker's task.
+point is one worker's task; the points go out costliest first.
 
 Every flat channel (AWGN and flat fading, frozen over the frame or moving
 under Doppler) works on each data chirp's despread spectrum; only the
@@ -541,8 +541,11 @@ def run_ber(cfg: SimConfig) -> list[SimRecord]:
     # Imported on demand, so in-process runs never load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
+    # A point costs more at a larger sf and further up the axis, where the stop
+    # rule needs more frames, so the points go out costliest first and the
+    # longest ones never start while the other workers sit idle.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(_run_point, cfg), *zip(*points)))
+        return list(pool.map(partial(_run_point, cfg), *zip(*points[::-1])))[::-1]
 
 
 def run_throughput(cfg: SimConfig) -> list[SimRecord]:

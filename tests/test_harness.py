@@ -220,6 +220,7 @@ class TestRunBer:
             """Runs the map in this process and records the processes asked for."""
 
             asked: list[int] = []
+            sent: list[tuple] = []
 
             def __init__(self, max_workers):
                 self.asked.append(max_workers)
@@ -231,7 +232,9 @@ class TestRunBer:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                points = list(zip(*iterables))
+                self.sent.extend(points)
+                return [fn(*point) for point in points]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         cfg = tiny_cfg(scheme="iqcss", channel="rayleigh-static-est")
@@ -239,6 +242,8 @@ class TestRunBer:
         assert InlineExecutor.asked == []
         assert serial == records_to_csv(run_ber(dataclasses.replace(cfg, workers=64)))
         assert InlineExecutor.asked == [3]
+        # costliest first: the last sweep point goes out first
+        assert InlineExecutor.sent == [(7, 2, 4.0), (7, 1, 2.0), (7, 0, 0.0)]
         one_point = dataclasses.replace(cfg, axis_stop=0.0)
         run_ber(dataclasses.replace(one_point, workers=4))
         assert InlineExecutor.asked == [3]
