@@ -16,7 +16,6 @@ from .chirp import (
 from .modem import SCHEMES
 from .framing import FrameConfig, average_sync, build_frame, extract_regions
 from .channel import (
-    ChannelRealization,
     TapProfile,
     apply_awgn,
     apply_channel,

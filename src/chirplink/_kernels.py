@@ -1,4 +1,4 @@
-"""Hot numeric kernels: fading-trace synthesis and tapped-delay-line filtering."""
+"""Hot numeric kernel: fading-trace synthesis."""
 
 from __future__ import annotations
 
@@ -32,14 +32,3 @@ def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: i
     terms = np.ascontiguousarray(coarse * weights.T[:, None, :]).view(np.float64)
     out = np.einsum("lbk,jk->lbj", terms, fine, optimize=False).view(np.complex128)
     return out.reshape(len(out), -1)[:, :n_samples]
-
-
-def tdl_apply(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """y[i] = sum_l gains[l, i] * x[i - delays[l]], zero before the signal start."""
-    n = x.size
-    y = np.zeros(n, dtype=np.complex128)
-    for l, d in enumerate(delays):
-        d = int(d)
-        if d < n:
-            y[d:] += gains[l, d:] * x[: n - d]
-    return y

@@ -124,9 +124,9 @@ class TapProfile:
     """Power-delay profile: physical tap delays (seconds) and linear powers.
 
     Powers are normalised to unit sum on construction.  Delays are mapped to
-    integer sample lags only when a realization is built, so several physical
+    integer sample lags only by :meth:`lag_groups`, so several physical
     taps may share a sample lag at low bandwidth; they fade independently and
-    are summed into that lag's single row of the realization.
+    are summed into that lag's single row of the trace.
     """
 
     delays_s: np.ndarray
@@ -137,8 +137,10 @@ class TapProfile:
         powers = np.asarray(self.powers, dtype=np.float64)
         if delays.ndim != 1 or delays.shape != powers.shape or delays.size == 0:
             raise ValueError("delays and powers must be equal-length 1-D arrays")
-        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(powers))):
-            raise ValueError("tap delays and powers must be finite")
+        with np.errstate(all="ignore"):  # finite powers may still overflow their sum
+            total = powers.sum()
+        if not (np.all(np.isfinite(delays)) and np.isfinite(total)):
+            raise ValueError("tap delays, powers and the powers' sum must be finite")
         if delays[0] != 0.0:
             raise ValueError("first tap delay must be 0")
         if np.any(np.diff(delays) <= 0) and delays.size > 1:
@@ -146,7 +148,7 @@ class TapProfile:
         if np.any(powers <= 0):
             raise ValueError("tap powers must be positive")
         object.__setattr__(self, "delays_s", delays)
-        object.__setattr__(self, "powers", powers / powers.sum())
+        object.__setattr__(self, "powers", powers / total)
 
     @property
     def n_taps(self) -> int:
@@ -185,6 +187,10 @@ class TapLags:
     first_tap: np.ndarray
     amplitudes: np.ndarray
     sample_rate_hz: float
+
+    def __post_init__(self) -> None:
+        if self.lags.ndim != 1 or np.any(self.lags < 0) or np.any(np.diff(self.lags) <= 0):
+            raise ValueError("tap lags must be 1-D, >= 0 and strictly increasing")
 
     def draw_phases(self, rng: np.random.Generator) -> np.ndarray:
         """Draw ``JAKES_SINUSOIDS`` phases per physical tap, in profile order: (taps, K)."""
@@ -232,65 +238,38 @@ def urban_12tap_profile() -> TapProfile:
         return load_tap_profile(path)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-sample gains of one tapped-delay-line draw, one row per sample lag.
-
-    ``gains[l, i]`` multiplies ``x[i - delays[l]]`` at output sample ``i``.
-    ``delays`` must be strictly increasing: physical taps that share a sample
-    lag are already summed into that lag's row.  Flat fading is the one-row
-    case ``delays == [0]``, and a fade frozen over the frame (zero Doppler)
-    has constant rows.  ``gains`` may be a read-only broadcast view (the
-    zero-Doppler rows are), so callers must not write into it.
-    """
-
-    delays: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        delays = np.asarray(self.delays, dtype=np.int64)
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        if delays.ndim != 1 or gains.ndim != 2 or gains.shape[0] != delays.size:
-            raise ValueError("gains must have shape (n_lags, n_samples)")
-        if np.any(delays < 0):
-            raise ValueError("tap delays must be >= 0")
-        if np.any(np.diff(delays) <= 0):
-            raise ValueError("tap delays must be strictly increasing")
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "gains", gains)
-
-    @property
-    def n_samples(self) -> int:
-        return self.gains.shape[1]
-
-
 def tvfs_realization(
     frame_len: int, taps: TapLags, max_doppler_hz: float, weights: np.ndarray
-) -> ChannelRealization:
-    """Multipath realization of folded ``weights``, sampled at ``taps.sample_rate_hz``.
+) -> np.ndarray:
+    """Per-sample gains ``(lags, frame_len)`` of folded ``weights`` at ``taps.sample_rate_hz``.
 
     ``weights`` is a :meth:`TapLags.draw_weights` draw: every physical tap
     fades independently, and the taps of one sample lag sum to one row of 32
     weights on the shared :data:`FOLDED_COS` Doppler grid.  With zero Doppler
-    each lag's gain is the constant sum of its weights.  Flat Rayleigh fading
-    is the one-tap ``FLAT_PROFILE.lag_groups(rate)``.
+    each lag's gain is the constant sum of its weights, and the rows are a
+    read-only broadcast view, so callers must not write into them.  Flat
+    Rayleigh fading is the one-tap ``FLAT_PROFILE.lag_groups(rate)``.
     """
     if frame_len <= 0:
         raise ValueError("frame length must be positive")
     if max_doppler_hz == 0.0:
-        gains = np.broadcast_to(weights.sum(axis=1, keepdims=True), (taps.lags.size, frame_len))
-    else:
-        omegas = 2.0 * np.pi * max_doppler_hz * FOLDED_COS
-        gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / taps.sample_rate_hz, frame_len)
-    return ChannelRealization(delays=taps.lags, gains=gains)
+        return np.broadcast_to(weights.sum(axis=1, keepdims=True), (taps.lags.size, frame_len))
+    omegas = 2.0 * np.pi * max_doppler_hz * FOLDED_COS
+    return _kernels.jakes_trace(omegas, weights.T, 1.0 / taps.sample_rate_hz, frame_len)
 
 
-def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:
-    """Tapped-delay-line filtering; output has the same length as the input."""
+def apply_channel(x: np.ndarray, taps: TapLags, gains: np.ndarray) -> np.ndarray:
+    """Tapped delay line ``y[i] = sum_l gains[l, i] * x[i - taps.lags[l]]``, zero before
+    the signal start; ``gains`` is a ``(lags, x.size)`` :func:`tvfs_realization`."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size != realization.n_samples:
+    if x.ndim != 1 or gains.shape != (taps.lags.size, x.size):
         raise ValueError(
-            f"signal length {x.shape} does not match realization ({realization.n_samples},)"
+            f"gains {gains.shape} do not match {taps.lags.size} lags of signal {x.shape}"
         )
-    return _kernels.tdl_apply(x, realization.delays, realization.gains)
-
+    n = x.size
+    y = np.zeros(n, dtype=np.complex128)
+    for l, d in enumerate(taps.lags):
+        d = int(d)
+        if d < n:
+            y[d:] += gains[l, d:] * x[: n - d]
+    return y

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import re
 import sys
 import typing
 
@@ -138,8 +140,20 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
     return cfg
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Raise :class:`OSError` unless each given path's directory exists and is writable."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+            raise OSError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _cmd_sweep(args: argparse.Namespace, throughput: bool) -> int:
     cfg = _config_from_args(args)
+    if throughput and cfg.axis != "snr":
+        raise ConfigError("throughput runs sweep the per-sample SNR axis; give --snr")
+    cfg.validate()  # config errors exit 2 before an unwritable output exits 3
+    _check_output_dirs(args.out, args.plot)  # before a sweep that may take hours
     records = run_throughput(cfg) if throughput else run_ber(cfg)
     write_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
@@ -168,6 +182,8 @@ def _loopback_ok(scheme_name: str, sf: int, trials: int) -> bool:
 
 
 def _cmd_loopback(args: argparse.Namespace) -> int:
+    if args.all and (args.scheme is not None or args.sf is not None):
+        raise ConfigError("--all runs every scheme and spreading factor; drop --scheme and --sf")
     schemes = list(SCHEMES) if args.all or not args.scheme else [args.scheme]
     sfs = list(VALID_SF) if args.all or not args.sf else list(_parse_sf_list(args.sf))
     if args.trials < 1:
@@ -254,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join ``--flag -5:1:0`` into ``--flag=-5:1:0`` so argparse accepts it."""
+    """Join ``--flag -5:1:0`` (or ``-.5:1:0``) into ``--flag=-5:1:0`` so argparse accepts it."""
     merged: list[str] = []
     skip = False
     for i, token in enumerate(argv):
@@ -266,9 +282,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
             token.startswith("--")
             and "=" not in token
             and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and nxt[1].isdigit()
+            and re.match(r"-\.?\d", nxt)
         ):
             merged.append(f"{token}={nxt}")
             skip = True

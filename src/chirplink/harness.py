@@ -102,7 +102,7 @@ def _resolve_profile(path: str | None) -> TapProfile:
 class Channel:
     """One channel name: taps (one or the profile), fade (frozen or Doppler), CSI.
 
-    A fading channel is one :func:`tvfs_realization` draw.  ``multipath`` needs
+    A fading channel is one :meth:`TapLags.draw_weights` draw.  ``multipath`` needs
     a cyclic prefix covering the longest tap and is equalized per DFT bin;
     without ``genie`` the receiver uses the preamble least-squares estimate.
     """
@@ -196,6 +196,12 @@ class SimConfig:
             raise ConfigError("seed must be >= 0")
         if self.bandwidth_hz <= 0 or self.carrier_hz <= 0 or self.speed_kmh < 0:
             raise ConfigError("bandwidth and carrier must be positive, speed >= 0")
+        fd = max_doppler_hz(self.speed_kmh, self.carrier_hz)
+        if CHANNELS[self.channel].moving and not math.isfinite(fd):
+            raise ConfigError(
+                f"speed {self.speed_kmh:g} km/h at carrier {self.carrier_hz:g} Hz "
+                "gives no finite Doppler shift"
+            )
         for sf in self.sf_list:
             for db in self.axis_points():
                 try:
@@ -338,7 +344,8 @@ def _sim_frame(
     channel = CHANNELS[cfg.channel]
     frame = build_frame(fcfg, tx, cfg.scheme)
     w = taps.draw_weights(rng)
-    y = apply_awgn(apply_channel(frame, tvfs_realization(frame.size, taps, fd, w)), sigma2, rng)
+    gains = tvfs_realization(frame.size, taps, fd, w)
+    y = apply_awgn(apply_channel(frame, taps, gains), sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
     if scheme.coherent and channel.genie:
         _, _, kernel = _doppler_table(fcfg, fd, cfg.bandwidth_hz)

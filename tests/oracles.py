@@ -13,7 +13,7 @@ chirp and decides with the scheme's argmax rule, where the harness draws each
 decision from the order statistic.  :func:`frozen_frame` is the harness's
 stream-version-4 frozen frame drawn and decided on its own, in Python complex
 scalars, where the harness decides a whole batch of frames at once.
-:func:`preamble_mean_response` averages a waveform realization's sample gains
+:func:`preamble_mean_response` averages a waveform trace's sample gains
 over the sync up-chirp bodies, where the harness's multipath genie contracts
 the folded weights with a Doppler kernel.
 """
@@ -31,7 +31,6 @@ from scipy.stats import norm
 from chirplink.chanest import equalize_flat, ls_flat
 from chirplink.channel import (
     FLAT_PROFILE,
-    ChannelRealization,
     apply_awgn,
     apply_channel,
     max_doppler_hz,
@@ -113,12 +112,12 @@ def sos_tap_gains_per_lag(
     return lags, gains
 
 
-def preamble_mean_response(realization: ChannelRealization, fcfg: FrameConfig) -> np.ndarray:
+def preamble_mean_response(lags: np.ndarray, gains: np.ndarray, fcfg: FrameConfig) -> np.ndarray:
     """Length-N impulse response: each lag's sample gains averaged over the sync up-chirp bodies."""
-    sync_up, _ = extract_regions(realization.gains, fcfg)
-    means = sync_up.reshape(len(realization.delays), -1).mean(axis=-1)
+    sync_up, _ = extract_regions(gains, fcfg)
+    means = sync_up.reshape(len(lags), -1).mean(axis=-1)
     h = np.zeros(fcfg.n, dtype=np.complex128)
-    h[realization.delays] = means
+    h[lags] = means
     return h
 
 
@@ -167,23 +166,23 @@ def waveform_flat_rx(
     sigma2: float,
     rng: np.random.Generator,
 ):
-    """One flat-channel frame sample by sample: (sync_up, data, realization).
+    """One flat-channel frame sample by sample: (sync_up, data, gains).
 
     The full frame (preamble and payload, with its cyclic prefixes) passes one
     flat fade of maximum Doppler ``fd`` Hz, frozen when it is 0 (its 64 phases
-    drawn from ``rng``; ``realization`` is None without ``fading``), then AWGN
+    drawn from ``rng``; ``gains`` is None without ``fading``), then AWGN
     of variance ``sigma2`` (no draw when it is 0).  Returns the prefix-stripped
     sync up-chirp and data chirp bodies.
     """
     y = build_frame(fcfg, tx, scheme)
-    realization = None
+    gains = None
     if fading:
         taps = FLAT_PROFILE.lag_groups(250e3)
-        realization = tvfs_realization(y.size, taps, fd, taps.draw_weights(rng))
-        y = apply_channel(y, realization)
+        gains = tvfs_realization(y.size, taps, fd, taps.draw_weights(rng))
+        y = apply_channel(y, taps, gains)
     y = apply_awgn(y, sigma2, rng)
     sync_up, data = extract_regions(y, fcfg)
-    return sync_up, data, realization
+    return sync_up, data, gains
 
 
 def waveform_flat_frame(
@@ -210,10 +209,10 @@ def waveform_flat_frame(
     fcfg = FrameConfig(sf=sf, payload_symbols=payload_symbols)
     tx = rng.integers(0, 1 << sf, size=(payload_symbols, spec.streams))
     fd = max_doppler_hz(speed_kmh, 863e6) if chan.moving else 0.0
-    sync_up, data, realization = waveform_flat_rx(fcfg, tx, scheme, chan.fading, fd, sigma2, rng)
+    sync_up, data, gains = waveform_flat_rx(fcfg, tx, scheme, chan.fading, fd, sigma2, rng)
     if spec.coherent and chan.fading:
         if chan.genie:
-            h = complex(realization.gains[0, 0])
+            h = complex(gains[0, 0])
         else:
             h = ls_flat(average_sync(sync_up), raw_upchirp(sf))
         data = equalize_flat(data, h)

@@ -11,7 +11,7 @@ from chirplink.chanest import (
 from chirplink.chirp import raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.modem import SCHEMES
-from chirplink.channel import apply_awgn, ChannelRealization, apply_channel
+from chirplink.channel import TapProfile, apply_awgn, apply_channel
 
 from oracles import circular_convolve
 
@@ -239,8 +239,8 @@ def test_noiseless_end_to_end_selective_estimation():
     x = build_frame(cfg, pairs, "iqcss")
     taps = np.array([0.9, 0.0, 0.0, 0.2 - 0.4j, 0.05j])
     gains = np.tile(taps[:, None], (1, x.size)).astype(complex)
-    real = ChannelRealization(delays=np.arange(5), gains=gains)
-    y = apply_channel(x, real)
+    lags = TapProfile(np.arange(5) / 250e3, np.ones(5)).lag_groups(250e3)
+    y = apply_channel(x, lags, gains)
     sync_up, data = extract_regions(y, cfg)
     est = ls_selective(average_sync(sync_up), 7)
     est[16:] = 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -9,7 +11,7 @@ from chirplink.channel import (
     FLAT_PROFILE,
     FOLDED_COS,
     JAKES_SINUSOIDS,
-    ChannelRealization,
+    TapLags,
     TapProfile,
     apply_awgn,
     apply_channel,
@@ -130,30 +132,34 @@ class TestDoppler:
 
 
 def flat_fade(frame_len, fd, rate, rng):
-    """Flat Rayleigh fading: the one-tap profile's realization."""
+    """Flat Rayleigh fading: the one-tap profile's trace."""
     taps = FLAT_PROFILE.lag_groups(rate)
     return tvfs_realization(frame_len, taps, fd, taps.draw_weights(rng))
+
+
+def frozen_flat_fades(seed, draws=100_000):
+    """``draws`` frozen flat fades from one phase draw, the stream of one fade at a time."""
+    taps = FLAT_PROFILE.lag_groups(250e3)
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(draws, 1, JAKES_SINUSOIDS))
+    fades = taps.weights(phases).sum(-1)[:, 0]
+    rng = np.random.default_rng(seed)
+    assert_array_equal(fades[:1000], [flat_fade(1, 0.0, 250e3, rng)[0, 0] for _ in range(1000)])
+    return fades
 
 
 class TestFlatRayleigh:
     def test_zero_doppler_gain_is_constant(self):
         rng = np.random.default_rng(3)
-        real = flat_fade(1000, 0.0, 250e3, rng)
-        assert np.all(real.gains[0] == real.gains[0, 0])
-        assert real.gains.strides[1] == 0
+        gains = flat_fade(1000, 0.0, 250e3, rng)
+        assert np.all(gains[0] == gains[0, 0])
+        assert gains.strides[1] == 0
 
     def test_unit_average_power(self):
-        rng = np.random.default_rng(17)
-        draws = np.array(
-            [flat_fade(1, 0.0, 250e3, rng).gains[0, 0] for _ in range(100_000)]
-        )
+        draws = frozen_flat_fades(17)
         assert_allclose(np.mean(np.abs(draws) ** 2), 1.0, rtol=0.02)
 
     def test_magnitude_is_rayleigh(self):
-        rng = np.random.default_rng(2718)
-        draws = np.array(
-            [flat_fade(1, 0.0, 250e3, rng).gains[0, 0] for _ in range(100_000)]
-        )
+        draws = frozen_flat_fades(2718)
         result = kstest(np.abs(draws), "rayleigh", args=(0, 1 / np.sqrt(2)))
         assert result.pvalue > 0.01
 
@@ -168,7 +174,7 @@ class TestFlatRayleigh:
         acc = np.zeros(n, dtype=complex)
         trials = 400
         for _ in range(trials):
-            h = flat_fade(n, fd, rate, rng).gains[0]
+            h = flat_fade(n, fd, rate, rng)[0]
             acc += h * np.conj(h[0])
         acc /= trials
         lags = np.arange(n)
@@ -182,9 +188,9 @@ class TestFlatRayleigh:
     def test_frozen_gain_from_weights_equals_realization(self, seed):
         # a zero-Doppler realization's gain is the sum of its folded weights
         rate = 250e3
-        real = flat_fade(1, 0.0, rate, np.random.default_rng(seed))
+        gains = flat_fade(1, 0.0, rate, np.random.default_rng(seed))
         h = FLAT_PROFILE.lag_groups(rate).draw_weights(np.random.default_rng(seed)).sum()
-        assert h == real.gains[0, 0]
+        assert h == gains[0, 0]
 
 
 class TestFoldedDopplerGrid:
@@ -240,6 +246,13 @@ class TestTapProfile:
         with pytest.raises(ValueError):
             TapProfile(np.array([0.0, 2e-6, 2e-6]), np.array([0.3, 0.3, 0.4]))
 
+    def test_powers_overflowing_their_sum_rejected(self):
+        # each power is finite (1e308), their sum is not; normalizing would zero them all
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum must be finite"):
+                TapProfile.from_db([0.0, 1.0], [3080.0, 3080.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -251,10 +264,8 @@ class TestTapProfile:
 class TestTvfs:
     def test_forced_identity(self):
         x = raw_upchirp(7)
-        real = ChannelRealization(
-            delays=np.zeros(1, dtype=np.int64), gains=np.ones((1, x.size), dtype=complex)
-        )
-        assert_allclose(apply_channel(x, real), x, atol=1e-15)
+        taps = FLAT_PROFILE.lag_groups(250e3)
+        assert_allclose(apply_channel(x, taps, np.ones((1, x.size), dtype=complex)), x, atol=1e-15)
 
     def test_two_tap_spectral_nulls(self):
         # equal-gain taps at lags {0, d} null the response every N/d bins;
@@ -263,8 +274,8 @@ class TestTvfs:
         n, d = 128, 8
         x = np.tile(raw_upchirp(7), 2)
         gains = np.full((2, x.size), 1 / np.sqrt(2), dtype=complex)
-        real = ChannelRealization(delays=np.array([0, d]), gains=gains)
-        y = apply_channel(x, real)[n:]
+        taps = TapProfile(np.array([0.0, d / 250e3]), np.ones(2)).lag_groups(250e3)
+        y = apply_channel(x, taps, gains)[n:]
         response = np.fft.fft(y) / np.fft.fft(raw_upchirp(7))
         expected = (1 + np.exp(-2j * np.pi * np.arange(n) * d / n)) / np.sqrt(2)
         assert_allclose(response, expected, atol=1e-9)
@@ -278,11 +289,11 @@ class TestTvfs:
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         profile = TapProfile.from_db([0.0, 4.0, 12.0], [0.0, -3.0, -6.0])
         taps = profile.lag_groups(250e3)
-        real = tvfs_realization(x.size, taps, 0.0, taps.draw_weights(np.random.default_rng(5)))
+        gains = tvfs_realization(x.size, taps, 0.0, taps.draw_weights(np.random.default_rng(5)))
         # zero doppler: every tap gain is constant in time
-        assert np.all(real.gains == real.gains[:, :1])
-        y = apply_channel(x, real)
-        want = linear_convolve_timevarying(x, real.delays, real.gains)
+        assert np.all(gains == gains[:, :1])
+        y = apply_channel(x, taps, gains)
+        want = linear_convolve_timevarying(x, taps.lags, gains)
         assert_allclose(y, want, rtol=1e-9, atol=1e-12)
 
     def test_timevarying_matches_direct_convolution(self):
@@ -290,11 +301,11 @@ class TestTvfs:
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         profile = TapProfile.from_db([0.0, 8.0], [0.0, -2.0])
         taps = profile.lag_groups(250e3)
-        real = tvfs_realization(x.size, taps, 500.0, taps.draw_weights(rng))
-        assert not np.all(real.gains == real.gains[:, :1])
+        gains = tvfs_realization(x.size, taps, 500.0, taps.draw_weights(rng))
+        assert not np.all(gains == gains[:, :1])
         assert_allclose(
-            apply_channel(x, real),
-            linear_convolve_timevarying(x, real.delays, real.gains),
+            apply_channel(x, taps, gains),
+            linear_convolve_timevarying(x, taps.lags, gains),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -306,7 +317,7 @@ class TestTvfs:
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            y = apply_channel(x, tvfs_realization(x.size, taps, 0.0, taps.draw_weights(rng)))
+            y = apply_channel(x, taps, tvfs_realization(x.size, taps, 0.0, taps.draw_weights(rng)))
             total += np.sum(np.abs(y) ** 2)
         # edge truncation loses a sliver of the delayed taps' energy
         assert abs(total / trials / np.sum(np.abs(x) ** 2) - 1.0) < 0.02
@@ -315,8 +326,7 @@ class TestTvfs:
         taps = urban_12tap_profile().lag_groups(250e3)
         a = tvfs_realization(256, taps, 10.0, taps.draw_weights(np.random.default_rng(77)))
         b = tvfs_realization(256, taps, 10.0, taps.draw_weights(np.random.default_rng(77)))
-        assert_array_equal(a.gains, b.gains)
-        assert_array_equal(a.delays, b.delays)
+        assert_array_equal(a, b)
 
     @pytest.mark.parametrize("fd", [0.0, 80.0])
     def test_merged_lags_match_per_tap_synthesis(self, fd):
@@ -325,15 +335,15 @@ class TestTvfs:
         profile = urban_12tap_profile()
         n = 2000
         taps = profile.lag_groups(250e3)
-        real = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(404)))
+        gains = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(404)))
         rng = np.random.default_rng(404)
         phases = np.array([rng.uniform(0.0, 2 * np.pi, size=64) for _ in range(profile.n_taps)])
         lags, want = sos_tap_gains_per_lag(
             profile.sample_delays(250e3), profile.powers, phases, fd, 250e3, n
         )
-        assert_array_equal(real.delays, [0, 1])
+        assert_array_equal(taps.lags, [0, 1])
         assert_array_equal(lags, [0, 1])
-        assert_allclose(real.gains, want, rtol=0, atol=1e-12)
+        assert_allclose(gains, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("speed_kmh", [0.1, 60.0, 500.0])
     @pytest.mark.parametrize("rate,n_lags", [(250e3, 2), (2e6, 7)])
@@ -344,20 +354,33 @@ class TestTvfs:
         profile = urban_12tap_profile()
         taps = profile.lag_groups(rate)
         fd = max_doppler_hz(speed_kmh, 863e6)
-        real = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(n)))
+        gains = tvfs_realization(n, taps, fd, taps.draw_weights(np.random.default_rng(n)))
         phases = taps.draw_phases(np.random.default_rng(n))
         lags, want = sos_tap_gains_per_lag(
             profile.sample_delays(rate), profile.powers, phases, fd, rate, n
         )
-        assert_array_equal(real.delays, lags)
+        assert_array_equal(taps.lags, lags)
         assert lags.size == n_lags
-        assert_allclose(real.gains, want, rtol=0, atol=1e-11)
+        assert_allclose(gains, want, rtol=0, atol=1e-11)
 
     def test_repeated_delays_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            ChannelRealization(delays=np.array([0, 1, 1]), gains=np.ones((3, 10)))
+            TapLags(np.array([0, 1, 1]), np.arange(3), np.ones(3), 250e3)
+
+    @pytest.mark.parametrize("lags", [np.array([-1, 0]), np.array([1, 0]), np.zeros((1, 1))])
+    def test_negative_unsorted_or_2d_lags_rejected(self, lags):
+        with pytest.raises(ValueError, match="1-D, >= 0 and strictly increasing"):
+            TapLags(lags, np.arange(lags.size), np.ones(lags.size), 250e3)
 
     def test_length_mismatch_rejected(self):
-        real = ChannelRealization(delays=np.zeros(1, dtype=np.int64), gains=np.ones((1, 10)))
+        taps = FLAT_PROFILE.lag_groups(250e3)
         with pytest.raises(ValueError):
-            apply_channel(np.ones(11, dtype=complex), real)
+            apply_channel(np.ones(11, dtype=complex), taps, np.ones((1, 10)))
+
+    @pytest.mark.parametrize("x,gains", [
+        (np.ones(10), np.ones((2, 10))),  # one row per lag
+        (np.ones((1, 10)), np.ones((1, 10))),  # one signal
+    ])
+    def test_gains_shape_mismatch_rejected(self, x, gains):
+        with pytest.raises(ValueError, match="do not match"):
+            apply_channel(x, FLAT_PROFILE.lag_groups(250e3), gains)

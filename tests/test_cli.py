@@ -211,6 +211,52 @@ class TestBerCommand:
         assert run_cli("ber", "--channel", "tvfs-est", *args, "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_tap_powers_overflowing_their_sum_exit_2(self, tmp_path):
+        # 10**308 twice: normalizing by the inf sum would zero every tap
+        profile = tmp_path / "big.profile"
+        profile.write_text("0 3080\n1 3080\n")
+        out = tmp_path / "r.csv"
+        args = ("--tap-profile", str(profile), "--ebn0", "30", "--max-frames", "2")
+        assert run_cli("ber", "--channel", "tvfs-est", *args, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channel", ["rayleigh-mobile-est", "tvfs-est"])
+    @pytest.mark.parametrize(
+        "doppler", [("--speed-kmh", "1e308"), ("--carrier-hz", "1e308", "--speed-kmh", "1e10")]
+    )
+    def test_non_finite_doppler_exits_2(self, tmp_path, monkeypatch, channel, doppler):
+        def must_not_run(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("chirplink.harness._run_point", must_not_run)
+        out = tmp_path / "r.csv"
+        args = ("--channel", channel, *doppler, "--ebn0", "10", "--out", str(out))
+        assert run_cli("ber", *args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec,axis", [("-.5:0.5:0", (-0.5, 0.5, 0.0)), ("-.75:.25:-.25", (-0.75, 0.25, -0.25))]
+    )
+    def test_negative_value_without_leading_zero(self, tmp_path, monkeypatch, spec, axis):
+        # argparse reads -.5:0.5:0 as a flag unless it is joined to --ebn0
+        seen = []
+        monkeypatch.setattr(cli, "run_ber", lambda cfg: seen.append(cfg) or [])
+        assert run_cli("ber", "--ebn0", spec, "--out", str(tmp_path / "r.csv")) == 0
+        assert (seen[0].axis_start, seen[0].axis_step, seen[0].axis_stop) == axis
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_output_exits_3_before_the_sweep(self, tmp_path, monkeypatch, flag):
+        def must_not_run(cfg):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli, "run_ber", must_not_run)
+        paths = {"--out": str(tmp_path / "r.csv"), "--plot": str(tmp_path / "r.svg")}
+        paths[flag] = str(tmp_path / "nope" / "r.x")
+        args = [arg for item in paths.items() for arg in item]
+        assert run_cli("ber", "--ebn0", "0", *args) == 3
+        # a config error still exits 2 first
+        assert run_cli("ber", "--ebn0", "nan", *args) == 2
+
     def test_unplottable_sweep_exits_1_after_writing_csv(self, tmp_path):
         # no bit errors at 30 dB, so the BER plot has no point to draw
         out = tmp_path / "r.csv"
@@ -291,6 +337,15 @@ class TestLoopbackCommand:
         assert run_cli("loopback", "--scheme", "iqcss", "--sf", "7,8") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    @pytest.mark.parametrize(
+        "args", [("--scheme", "iqcss"), ("--sf", "7"), ("--scheme", "iqcss", "--sf", "7")]
+    )
+    def test_all_with_a_subset_exits_2(self, capsys, args):
+        # --all would otherwise run every scheme and sf, ignoring the subset
+        assert run_cli("loopback", "--all", *args) == 2
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
 
     def test_bad_sf_exits_2_before_any_loopback(self, capsys):
         assert run_cli("loopback", "--sf", "7,13") == 2

@@ -110,6 +110,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_cfg(sf_list=(6,), cp_len=64).validate()
 
+    @pytest.mark.parametrize("channel", ["rayleigh-mobile-est", "tvfs-est"])
+    @pytest.mark.parametrize(
+        "speed_kmh,carrier_hz", [(1e308, 863e6), (1e10, 1e308)]
+    )
+    def test_doppler_overflowing_to_inf_rejected(self, channel, speed_kmh, carrier_hz):
+        # each input is finite, but v * fc / c is not
+        cfg = tiny_cfg(channel=channel, speed_kmh=speed_kmh, carrier_hz=carrier_hz)
+        with pytest.raises(ConfigError, match="finite Doppler"):
+            cfg.validate()
+
     def test_throughput_requires_snr_axis(self):
         with pytest.raises(ConfigError):
             run_throughput(tiny_cfg(axis="ebn0"))

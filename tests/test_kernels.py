@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chirplink import _kernels
-from chirplink.channel import max_doppler_hz
+from chirplink.channel import FLAT_PROFILE, apply_channel, max_doppler_hz
 
 from oracles import sos_tap_gains_per_lag
 
@@ -13,15 +13,12 @@ RATE_HZ = 250e3
 K = 64
 
 
-def _sample_inputs(n=4096, taps=12, seed=0):
+def _sample_inputs(n=4096, seed=0):
     rng = np.random.default_rng(seed)
     omegas = 2 * np.pi * 100.0 * np.cos(2 * np.pi * (np.arange(64) + 0.5) / 64)
     phases = rng.uniform(0, 2 * np.pi, size=64)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    delays = np.sort(rng.choice(np.arange(16), size=taps, replace=False)).astype(np.int64)
-    delays[0] = 0
-    gains = (rng.standard_normal((taps, n)) + 1j * rng.standard_normal((taps, n))) / np.sqrt(taps)
-    return omegas, phases, x, delays, gains
+    return omegas, phases, x
 
 
 def test_numpy_jakes_normalization():
@@ -70,8 +67,8 @@ def test_jakes_trace_builds_no_sinusoid_by_sample_table():
 
 
 def test_numpy_tdl_zero_delay_passthrough():
-    _, _, x, _, _ = _sample_inputs(n=100)
+    _, _, x = _sample_inputs(n=100)
     gains = np.ones((1, 100), dtype=complex)
-    out = _kernels.tdl_apply(x, np.zeros(1, dtype=np.int64), gains)
+    out = apply_channel(x, FLAT_PROFILE.lag_groups(RATE_HZ), gains)
     assert_allclose(out, x, atol=1e-15)
 
