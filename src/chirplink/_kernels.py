@@ -20,9 +20,10 @@ def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: i
     ``sum_k coarse[b, k] * weights[k, l] * fine[r, k]``, taken in real
     arithmetic as two length-2K dots of the interleaved (re, im) coarse terms
     with the rows ``conj(fine[r])`` and ``j*conj(fine[r])``.  ``np.einsum``
-    without path optimization runs the dots in numpy's own loops: a BLAS
-    product would start a thread pool that spins beside every worker of a
-    multi-worker run.
+    without path optimization runs the dots in numpy's own loops for every
+    caller: only the harness's frame ranges run under the one-thread BLAS
+    pin (:mod:`._blas`), and ``tvfs_realization`` is public, so a BLAS
+    product here could start a thread pool beside the caller's work.
     """
     block = isqrt(n_samples)
     n_blocks = -(-n_samples // block)

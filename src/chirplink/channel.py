@@ -168,7 +168,8 @@ class TapProfile:
     @classmethod
     def from_db(cls, delays_us, powers_db) -> "TapProfile":
         delays = np.asarray(delays_us, dtype=np.float64) * 1e-6
-        powers = 10.0 ** (np.asarray(powers_db, dtype=np.float64) / 10.0)
+        with np.errstate(over="ignore"):  # an infinite power fails __post_init__'s sum check
+            powers = 10.0 ** (np.asarray(powers_db, dtype=np.float64) / 10.0)
         return cls(delays, powers)
 
 

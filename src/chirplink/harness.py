@@ -28,8 +28,11 @@ stream layout, and :data:`STREAM_VERSION` (4) names it.  A flat frame draws:
 A frozen range makes each frame's draws in that order into arrays for the
 whole range, then runs their arithmetic (fade gains, tone means, decisions,
 error counts) once over the range.  Moving and multipath ranges run frame by
-frame.  A multipath frame draws the tx symbols, the fade phases of every tap
-and the (2, samples) waveform noise normals.
+frame on one BLAS thread (:mod:`._blas`).  A moving flat range allocates its
+frame buffers once (the Doppler contraction, the data spectra and the noise
+normals) and each frame overwrites them.  A multipath frame draws the tx
+symbols, the fade phases of every tap and the (2, samples) waveform noise
+normals.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _blas
 from .chirp import check_int, check_sf
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
@@ -310,25 +313,37 @@ def _each_frame(
 ) -> tuple[int, int, int, int]:
     """Simulate multipath or moving flat frames ``[lo, hi)``, one at a time.
 
-    The frame layout and the Doppler are built once per range.  Each frame
-    keys its generator and draws its tx symbols, then :func:`_sim_frame`
-    (multipath, on the waveform) or :func:`_moving_frame` (on despread
-    spectra) makes the frame's other draws and returns the decided symbols;
-    its temporaries are freed before the next frame.  Returns the summed
-    (bits_sent, bit_errors, symbols_sent, symbol_errors).
+    The frame layout and the Doppler are built once per range, and so are a
+    moving flat range's frame buffers (:func:`_moving_frame`), which each
+    frame overwrites.  Each frame keys its generator and draws its tx
+    symbols, then :func:`_sim_frame` (multipath, on the waveform) or
+    :func:`_moving_frame` (on despread spectra) makes the frame's other
+    draws and returns the decided symbols.  The range runs on one BLAS
+    thread.  Returns the summed (bits_sent, bit_errors, symbols_sent,
+    symbol_errors).
     """
     channel = CHANNELS[cfg.channel]
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols,
                        cp_len=cfg.resolved_cp_len())
     fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
-    decide = _sim_frame if channel.multipath else _moving_frame
     key = _stream_key(cfg, sf, point_idx)
     tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
     rx = np.empty_like(tx)
-    for i in range(hi - lo):
-        rng = _frame_rng(key, lo + i)
-        tx[i] = rng.integers(0, 1 << sf, size=tx.shape[1:])
-        rx[i] = decide(cfg, fcfg, fd, sigma2, taps, tx[i], rng)
+    if channel.multipath:
+        decide = partial(_sim_frame, cfg, fcfg, fd, sigma2, taps)
+    else:
+        payload, n = cfg.payload_symbols, fcfg.n
+        decide = partial(
+            _moving_frame, cfg, fcfg, fd, sigma2, taps,
+            np.empty((2 * n, payload), dtype=np.complex128),
+            np.empty((payload, n), dtype=np.complex128),
+            np.empty((2, payload, n)),
+        )
+    with _blas.one_thread():
+        for i in range(hi - lo):
+            rng = _frame_rng(key, lo + i)
+            tx[i] = rng.integers(0, 1 << sf, size=tx.shape[1:])
+            rx[i] = decide(tx[i], rng)
     return _errors(tx, rx, sf)
 
 
@@ -381,14 +396,19 @@ def _doppler_table(fcfg: FrameConfig, fd: float, rate_hz: float):
 
 
 def _moving_flat(
-    cfg: SimConfig, fcfg: FrameConfig, fd: float, weights: np.ndarray, tx: np.ndarray
-):
-    """Noiseless data spectra and preamble-averaged gain of a moving flat fade.
+    cfg: SimConfig, fcfg: FrameConfig, fd: float, weights: np.ndarray, tx: np.ndarray,
+    twice: np.ndarray, spectra: np.ndarray,
+) -> complex:
+    """Write a moving flat fade's noiseless data spectra into ``spectra``; return its
+    preamble-averaged gain.
 
     Data chirp i spreads a tone at bin q into ``amp * v_i[(m - q) mod N]``, with
     ``v = (w * phases) @ table.T`` over the folded weights ``w``: two real
-    length-64 dots per bin, without BLAS as in ``jakes_trace``, written twice
-    over down the columns of ``twice`` so that each shift is a window.
+    length-64 dots per bin, one BLAS product into the (2N, payload) buffer
+    ``twice``, written twice over down its columns so that each shift is a
+    window.  ``spectra`` (payload, N) gets each chirp's windows combined as
+    :attr:`Scheme.combine` does: the in-phase window, plus j times the
+    quadrature window.
     """
     scheme = SCHEMES[cfg.scheme]
     n = fcfg.n
@@ -396,28 +416,40 @@ def _moving_flat(
     w = weights.ravel()
     conj_c = np.conj(np.sqrt(1.0 / scheme.streams) * w * phases)
     rows = np.stack([conj_c, 1j * conj_c], axis=1).view(np.float64).reshape(2 * len(tx), -1)
-    twice = np.empty((2 * n, len(tx)), dtype=np.complex128)
-    np.einsum("dk,ak->da", table.view(np.float64), rows, out=twice[:n].view(np.float64))
+    np.matmul(table.view(np.float64), rows.T, out=twice[:n].view(np.float64))
     twice[n:] = twice[:n]
-    shifted = sliding_window_view(twice, n, axis=0)[n - tx, np.arange(len(tx))[:, None]]
-    return scheme.combine(shifted), complex((w * kernel).sum())
+    for i, (start, *quadrature) in enumerate((n - tx).tolist()):
+        if quadrature:
+            np.multiply(twice[quadrature[0]:quadrature[0] + n, i], 1j, out=spectra[i])
+            spectra[i] += twice[start:start + n, i]
+        else:
+            spectra[i] = twice[start:start + n, i]
+    return complex((w * kernel).sum())
 
 
 def _moving_frame(
     cfg: SimConfig, fcfg: FrameConfig, fd: float, sigma2: float, taps: TapLags,
+    twice: np.ndarray, spectra: np.ndarray, noise: np.ndarray,
     tx: np.ndarray, rng: np.random.Generator,
 ) -> np.ndarray:
     """Decide one moving flat frame on its spectra (:func:`_moving_flat`).
 
-    After tx it draws the fade phases, the estimate error, then every noise bin.
+    After tx it draws the fade phases, the estimate error, then every noise
+    bin into ``noise`` (2, payload, N), which it scales and adds to
+    ``spectra`` in place; a coherent scheme equalizes there too.
     """
     scheme = SCHEMES[cfg.scheme]
-    spectra, h_est = _moving_flat(cfg, fcfg, fd, taps.draw_weights(rng), tx)
+    h_est = _moving_flat(cfg, fcfg, fd, taps.draw_weights(rng), tx, twice, spectra)
     if scheme.coherent:
         err = rng.standard_normal(2) * _estimate_deviation(sigma2, fcfg.n)
         h_est += complex(err[0], err[1])
-    rx = apply_awgn(spectra, fcfg.n * sigma2, rng)
-    return scheme.decide(equalize_flat(rx, h_est) if scheme.coherent else rx)
+    rng.standard_normal(out=noise)
+    noise *= np.sqrt(fcfg.n * sigma2 / 2.0)
+    spectra.real += noise[0]
+    spectra.imag += noise[1]
+    if scheme.coherent:
+        spectra *= equalize_flat(1.0, h_est)
+    return scheme.decide(spectra)
 
 
 def _frozen_range(

@@ -253,6 +253,13 @@ class TestTapProfile:
             with pytest.raises(ValueError, match="sum must be finite"):
                 TapProfile.from_db([0.0, 1.0], [3080.0, 3080.0])
 
+    def test_power_overflowing_from_db_rejected_without_warning(self):
+        # 10**400 overflows to inf inside from_db; the sum check rejects it, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum must be finite"):
+                TapProfile.from_db([0.0, 1.0], [0.0, 4000.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

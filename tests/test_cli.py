@@ -401,6 +401,20 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert "config error" in proc.stderr and not out.exists()
 
 
+def test_tap_power_overflowing_its_db_value_exits_2_without_warning(tmp_path):
+    # 4000 dB overflows 10**(dB/10); only the config error reaches the user
+    profile = tmp_path / "big.profile"
+    profile.write_text("0 0\n1 4000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chirplink", "ber", "--channel", "tvfs-est", "--tap-profile",
+         str(profile), "--ebn0", "10", "--max-frames", "2"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # a fresh interpreter: what the package, its CLI and plotting import on top
     # of numpy, through one single-worker run_ber frame

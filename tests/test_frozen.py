@@ -21,7 +21,9 @@ the outcome is reproducible.
 The moving channel is also checked bin by bin: with the noise off, its data
 spectra and preamble estimate match the waveform chain to rounding.  The
 multipath genie takes the same preamble mean of the folded weights, which
-matches the waveform trace's sample gains averaged over the sync chirps.
+matches the waveform trace's sample gains averaged over the sync chirps.  A
+moving range reuses its frame buffers, so one 32-frame range must count what
+its 32 one-frame ranges count.
 """
 
 import math
@@ -108,7 +110,9 @@ def test_moving_spectra_match_waveform_chain(sf, cp_len, speed_kmh):
     weights = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz).draw_weights(np.random.default_rng(sf))
     fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cp_len)
     fd = max_doppler_hz(speed_kmh, cfg.carrier_hz)
-    spectra, h = _moving_flat(cfg, fcfg, fd, weights, tx)
+    twice = np.empty((2 * n, cfg.payload_symbols), dtype=np.complex128)
+    spectra = np.empty((cfg.payload_symbols, n), dtype=np.complex128)
+    h = _moving_flat(cfg, fcfg, fd, weights, tx, twice, spectra)
 
     # the same 64 phases, drawn again by the waveform chain's realization
     rng = np.random.default_rng(sf)
@@ -137,3 +141,18 @@ def test_kernel_genie_matches_sample_averaged_preamble(sf, cp_len, speed_kmh):
     gains = tvfs_realization(fcfg.total_samples, taps, fd, weights)
     ref = preamble_mean_response(taps.lags, gains, fcfg)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("speed_kmh", [0.1, 60.0])
+@pytest.mark.parametrize("sf", [7, 10])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_moving_range_equals_its_one_frame_ranges(scheme, sf, speed_kmh):
+    # a moving range reuses its frame buffers; no frame may read what the last one left
+    cfg = SimConfig(scheme=scheme, channel="rayleigh-mobile-est", sf_list=(sf,), seed=23,
+                    speed_kmh=speed_kmh)
+    sigma2 = _point_sigma2(cfg, sf, 12.0)
+    taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
+    whole = _each_frame(cfg, sf, sigma2, 0, taps, 0, 32)
+    parts = np.array([_each_frame(cfg, sf, sigma2, 0, taps, i, i + 1) for i in range(32)])
+    assert whole[3] > 0
+    assert whole == tuple(parts.sum(axis=0))

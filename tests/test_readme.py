@@ -1,11 +1,14 @@
-"""The README's library example must run as written, and its sweep commands must parse."""
+"""The README's library example and timing recipe must run as written, and its sweep
+commands must parse."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import chirplink
 from chirplink import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -16,6 +19,21 @@ def test_library_snippet_runs():
     blocks = re.findall(r"```python\n(.*?)```", TEXT, re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_timing_recipe_runs(monkeypatch, capsys):
+    # the heredoc behind the ms-per-frame table, cut to one frame per run
+    (recipe,) = re.findall(r"<<'EOF'\n(.*?)^EOF$", TEXT, re.S | re.M)
+    run_ber = chirplink.run_ber
+    monkeypatch.setattr(chirplink, "run_ber",
+                        lambda cfg: run_ber(dataclasses.replace(cfg, max_frames=1)))
+    exec(compile(recipe, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    channels = ("awgn", "rayleigh-static-est", "rayleigh-mobile-est", "tvfs-est")
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [
+        f"{ch} {sf}" for ch in channels for sf in (7, 10, 12)
+    ]
+    assert all(re.fullmatch(r"\S+ \d+ \S+ ms/frame", line) for line in lines)
 
 
 def _sweep_commands() -> list[list[str]]:
