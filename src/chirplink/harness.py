@@ -2,7 +2,9 @@
 
 Each frame is an independent trial whose random stream is derived from
 (seed, scheme, sf, axis point, frame index), so results do not depend on how
-the work is split.  Frames are processed in fixed-size batches and the stop
+the work is split.  A range's frames take their generator states from
+:mod:`._keys`, exactly as numpy's ``SeedSequence`` keys them into PCG64, on one
+reused generator.  Frames are processed in fixed-size batches and the stop
 rule (enough bit errors, or the frame budget) is checked between batches,
 which keeps the set of simulated frames deterministic.  Each batch is one call
 of a range task, which returns its summed error counts, and a whole sweep
@@ -45,6 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _blas
+from ._keys import frame_generators
 from .chirp import check_int, check_sf
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
@@ -291,11 +294,6 @@ def _stream_key(cfg: SimConfig, sf: int, point_idx: int) -> list[int]:
     return [cfg.seed, list(SCHEMES).index(cfg.scheme), sf, point_idx]
 
 
-def _frame_rng(key: list[int], frame_idx: int) -> np.random.Generator:
-    """The generator of one frame: its own key, so no frame depends on another."""
-    return np.random.default_rng(np.random.SeedSequence(key + [frame_idx]))
-
-
 def _estimate_deviation(sigma2: float, n: int) -> float:
     """Per-quadrature deviation of the flat LS estimate's CN(0, sigma2 / (n_sync_up * N)) error."""
     return math.sqrt(sigma2 / (2 * FrameConfig.n_sync_up * n))
@@ -315,7 +313,7 @@ def _each_frame(
 
     The frame layout and the Doppler are built once per range, and so are a
     moving flat range's frame buffers (:func:`_moving_frame`), which each
-    frame overwrites.  Each frame keys its generator and draws its tx
+    frame overwrites.  Each frame's generator (:mod:`._keys`) draws its tx
     symbols, then :func:`_sim_frame` (multipath, on the waveform) or
     :func:`_moving_frame` (on despread spectra) makes the frame's other
     draws and returns the decided symbols.  The range runs on one BLAS
@@ -340,8 +338,7 @@ def _each_frame(
             np.empty((2, payload, n)),
         )
     with _blas.one_thread():
-        for i in range(hi - lo):
-            rng = _frame_rng(key, lo + i)
+        for i, rng in enumerate(frame_generators(key, lo, hi)):
             tx[i] = rng.integers(0, 1 << sf, size=tx.shape[1:])
             rx[i] = decide(tx[i], rng)
     return _errors(tx, rx, sf)
@@ -461,7 +458,7 @@ def _frozen_range(
     A frozen fade scales each data chirp's tone pattern by one gain, known to
     the genie (the preamble average) or estimated with a CN(0, sigma2 / (8N))
     error, over i.i.d. CN(0, N*sigma2) noise bins; each decision is drawn from
-    the exact order statistic.  Each frame keys its own generator and makes
+    the exact order statistic.  Each frame's own generator (:mod:`._keys`) makes
     its draws of stream version 4 in order (tx symbols, fade phases, estimate
     error, decision draws) into the batch's arrays; then one pass of
     arithmetic over the batch turns them into fade gains, tone means and
@@ -481,8 +478,7 @@ def _frozen_range(
     u = np.empty(shape)
     j = np.empty(shape, dtype=np.int64)
     key = _stream_key(cfg, sf, point_idx)
-    for i in range(hi - lo):
-        rng = _frame_rng(key, lo + i)
+    for i, rng in enumerate(frame_generators(key, lo, hi)):
         # Stream version 4: tx symbols, fade phases, estimate error, decision draws.
         tx[i] = rng.integers(0, n, size=shape[1:])
         if channel.fading:

@@ -23,7 +23,9 @@ spectra and preamble estimate match the waveform chain to rounding.  The
 multipath genie takes the same preamble mean of the folded weights, which
 matches the waveform trace's sample gains averaged over the sync chirps.  A
 moving range reuses its frame buffers, so one 32-frame range must count what
-its 32 one-frame ranges count.
+its 32 one-frame ranges count.  Every range reuses one generator across its
+frames, so the same must hold at a 21-symbol lora payload, whose tx draw
+leaves a 32-bit half-word buffered.
 """
 
 import math
@@ -154,5 +156,24 @@ def test_moving_range_equals_its_one_frame_ranges(scheme, sf, speed_kmh):
     taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
     whole = _each_frame(cfg, sf, sigma2, 0, taps, 0, 32)
     parts = np.array([_each_frame(cfg, sf, sigma2, 0, taps, i, i + 1) for i in range(32)])
+    assert whole[3] > 0
+    assert whole == tuple(parts.sum(axis=0))
+
+
+@pytest.mark.parametrize("scheme", ["lora-noncoherent", "lora-coherent"])
+@pytest.mark.parametrize("channel, ebn0_db", [
+    ("awgn", 2.0), ("rayleigh-static-est", 12.0), ("rayleigh-mobile-est", 12.0), ("tvfs-est", 12.0),
+])
+def test_ragged_range_equals_its_one_frame_ranges(channel, ebn0_db, scheme):
+    # a range reuses one generator; a 21-symbol lora payload leaves a 32-bit
+    # half-word buffered after the tx draw, which no next frame may read
+    cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(7,), seed=23, speed_kmh=60.0,
+                    payload_symbols=21)
+    sigma2 = _point_sigma2(cfg, 7, ebn0_db)
+    profile = urban_12tap_profile() if channel == "tvfs-est" else FLAT_PROFILE
+    taps = profile.lag_groups(cfg.bandwidth_hz)
+    task = _frozen_range if channel in ("awgn", "rayleigh-static-est") else _each_frame
+    whole = task(cfg, 7, sigma2, 0, taps, 0, 32)
+    parts = np.array([task(cfg, 7, sigma2, 0, taps, i, i + 1) for i in range(32)])
     assert whole[3] > 0
     assert whole == tuple(parts.sum(axis=0))
