@@ -155,8 +155,15 @@ class TapProfile:
         return self.delays_s.size
 
     def sample_delays(self, sample_rate_hz: float) -> np.ndarray:
-        """Tap delays rounded to the nearest sample at the given rate."""
-        return np.rint(self.delays_s * sample_rate_hz).astype(np.int64)
+        """Tap delays rounded to the nearest sample at the given rate.
+
+        ``ValueError`` for a lag that is not finite or does not fit an int64.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            lags = np.rint(self.delays_s * sample_rate_hz)
+        if not np.all(np.abs(lags) < 2.0**63):
+            raise ValueError(f"tap delays at {sample_rate_hz:g} Hz overflow the sample lags")
+        return lags.astype(np.int64)
 
     def lag_groups(self, sample_rate_hz: float) -> "TapLags":
         """The taps grouped by sample lag at the given rate (see :class:`TapLags`)."""

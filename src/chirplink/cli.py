@@ -17,7 +17,7 @@ import typing
 
 import numpy as np
 
-from .chirp import VALID_SF, raw_upchirp, despread, dft
+from .chirp import VALID_SF, despread, dft
 from .modem import SCHEMES
 from .channel import apply_awgn, snr_to_sigma2
 from .harness import (
@@ -201,7 +201,7 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
 
 def _cmd_chirp(args: argparse.Namespace) -> int:
     sf = _config_sf(args.sf)
-    if args.symbol is not None and not 0 <= args.symbol < 1 << sf:
+    if not 0 <= args.symbol < 1 << sf:
         raise ConfigError(f"symbol {args.symbol} outside 0..{(1 << sf) - 1}")
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -211,10 +211,7 @@ def _cmd_chirp(args: argparse.Namespace) -> int:
             sigma2 = snr_to_sigma2(args.snr_db, sf)
         except ValueError as exc:
             raise ConfigError(f"--snr-db: {exc}") from None
-    if args.symbol is None:
-        signal = raw_upchirp(sf)
-    else:
-        signal = SCHEMES["lora-noncoherent"].modulate(sf, [args.symbol])
+    signal = SCHEMES["lora-noncoherent"].modulate(sf, [args.symbol])
     if sigma2 is not None:
         signal = apply_awgn(signal, sigma2, np.random.default_rng(args.seed))
     if args.what == "spectrum":
@@ -260,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chirp", help="dump a chirp waveform or despread spectrum", allow_abbrev=False
     )
     chirp.add_argument("--sf", type=int, default=7)
-    chirp.add_argument("-k", "--symbol", type=int, help="data symbol (default: raw chirp)")
+    chirp.add_argument("-k", "--symbol", type=int, default=0,
+                       help="data symbol (default: 0, the raw chirp)")
     chirp.add_argument("--snr-db", type=float, help="add noise at this per-sample SNR")
     chirp.add_argument("--seed", type=int, default=0)
     chirp.add_argument("--what", choices=("spectrum", "waveform"), default="spectrum")

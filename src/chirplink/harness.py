@@ -101,7 +101,10 @@ def _config_sf(sf) -> int:
 
 @lru_cache(maxsize=8)
 def _resolve_profile(path: str | None) -> TapProfile:
-    return urban_12tap_profile() if path is None else load_tap_profile(path)
+    try:
+        return urban_12tap_profile() if path is None else load_tap_profile(path)
+    except ValueError as exc:
+        raise ValueError(f"bad tap profile: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,14 @@ class SimConfig:
     workers: int = 1
     tap_profile: str | None = None
 
-    def resolved_cp_len(self) -> int:
-        if self.cp_len is not None:
-            return self.cp_len
-        return 16 if CHANNELS[self.channel].multipath else 0
-
     def _axis_count(self) -> int:
-        return int(np.floor((self.axis_stop - self.axis_start) / self.axis_step + 1e-9)) + 1
+        """The points of one axis sweep; :class:`ConfigError` past :data:`MAX_AXIS_POINTS`."""
+        count = np.floor((self.axis_stop - self.axis_start) / self.axis_step + 1e-9) + 1
+        if not count <= MAX_AXIS_POINTS:  # also rejects an infinite count
+            raise ConfigError(
+                f"axis sweep has {count:.0f} points; at most {MAX_AXIS_POINTS} allowed"
+            )
+        return int(count)
 
     def axis_points(self) -> list[float]:
         return [self.axis_start + i * self.axis_step for i in range(self._axis_count())]
@@ -171,43 +175,35 @@ class SimConfig:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.sf_list:
             raise ConfigError("sf_list must not be empty")
-        for sf in self.sf_list:
-            _config_sf(sf)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("max_frames", "min_bit_errors", "payload_symbols", "workers", "seed",
-                     "cp_len"):
-            value = getattr(self, name)
-            if value is None and name == "cp_len":  # the channel's default prefix
-                continue
+        for name in ("max_frames", "min_bit_errors", "workers", "seed"):
             try:
-                check_int(value, name)
+                check_int(getattr(self, name), name)
             except TypeError as exc:
                 raise ConfigError(str(exc)) from None
         if self.axis_step <= 0:
             raise ConfigError("axis step must be positive")
         if self.axis_stop < self.axis_start:
             raise ConfigError("axis stop must be >= axis start")
-        if self._axis_count() > MAX_AXIS_POINTS:
-            raise ConfigError(
-                f"axis sweep has {self._axis_count()} points; at most {MAX_AXIS_POINTS} allowed"
-            )
-        if self.max_frames < 1 or self.min_bit_errors < 1 or self.payload_symbols < 1:
-            raise ConfigError("max_frames, min_bit_errors and payload_symbols must be >= 1")
+        self._axis_count()  # ConfigError past MAX_AXIS_POINTS
+        if self.max_frames < 1 or self.min_bit_errors < 1:
+            raise ConfigError("max_frames and min_bit_errors must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.bandwidth_hz <= 0 or self.carrier_hz <= 0 or self.speed_kmh < 0:
             raise ConfigError("bandwidth and carrier must be positive, speed >= 0")
-        fd = max_doppler_hz(self.speed_kmh, self.carrier_hz)
-        if CHANNELS[self.channel].moving and not math.isfinite(fd):
-            raise ConfigError(
-                f"speed {self.speed_kmh:g} km/h at carrier {self.carrier_hz:g} Hz "
-                "gives no finite Doppler shift"
-            )
+        if self.tap_profile is not None and not CHANNELS[self.channel].multipath:
+            raise ConfigError(f"channel {self.channel} has no multipath to use tap_profile")
+        for sf in self.sf_list:
+            try:
+                _link(self, sf)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
         for sf in self.sf_list:
             for db in self.axis_points():
                 try:
@@ -218,23 +214,36 @@ class SimConfig:
                     raise ConfigError(
                         f"{self.axis} {db:g} dB at sf {sf} gives no finite, positive noise variance"
                     )
-        cp = self.resolved_cp_len()
-        min_n = 1 << min(self.sf_list)
-        if not 0 <= cp < min_n:
-            raise ConfigError(f"cp_len {cp} must be in [0, {min_n}) for sf_list {self.sf_list}")
-        if CHANNELS[self.channel].multipath:
-            try:
-                profile = _resolve_profile(self.tap_profile)
-            except ValueError as exc:
-                raise ConfigError(f"bad tap profile: {exc}") from exc
-            max_delay = int(profile.sample_delays(self.bandwidth_hz).max())
-            if cp < max_delay:
-                raise ConfigError(
-                    f"channel {self.channel} needs cp_len >= {max_delay} "
-                    f"(longest tap delay at {self.bandwidth_hz:g} Hz), got {cp}"
-                )
-        elif self.tap_profile is not None:
-            raise ConfigError(f"channel {self.channel} has no multipath to use tap_profile")
+
+
+def _link(cfg: SimConfig, sf: int) -> tuple[FrameConfig, TapLags | None, float]:
+    """One sf's link: its frame layout, its lag groups (None without fading) and its Doppler.
+
+    The prefix defaults to 16 samples on the multipath channels and 0 on the
+    others, and must cover the longest lag; the Doppler is 0 on a frozen
+    channel.  ``ValueError`` or ``TypeError`` for a link that cannot be built.
+    """
+    channel = CHANNELS[cfg.channel]
+    cp = cfg.cp_len
+    if cp is None:  # the channel's default prefix
+        cp = 16 if channel.multipath else 0
+    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols, cp_len=cp)
+    taps = None
+    if channel.fading:
+        profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
+        taps = profile.lag_groups(cfg.bandwidth_hz)
+    if channel.multipath and cp < taps.lags[-1]:
+        raise ValueError(
+            f"channel {cfg.channel} needs cp_len >= {taps.lags[-1]} "
+            f"(longest tap delay at {cfg.bandwidth_hz:g} Hz), got {cp}"
+        )
+    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
+    if not math.isfinite(fd):
+        raise ValueError(
+            f"speed {cfg.speed_kmh:g} km/h at carrier {cfg.carrier_hz:g} Hz "
+            "gives no finite Doppler shift"
+        )
+    return fcfg, taps, fd
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,20 +265,7 @@ class SimRecord:
     elapsed_s: float = field(compare=False, default=0.0)
 
 
-CSV_COLUMNS = (
-    "scheme",
-    "sf",
-    "axis",
-    "axis_db",
-    "bits_sent",
-    "bit_errors",
-    "ber",
-    "symbol_errors",
-    "ser",
-    "throughput_bps",
-    "censored",
-    "seed",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(SimRecord) if f.compare)
 
 
 def shannon_capacity_bps(snr_db: float, bandwidth_hz: float) -> float:
@@ -320,14 +316,11 @@ def _each_frame(
     thread.  Returns the summed (bits_sent, bit_errors, symbols_sent,
     symbol_errors).
     """
-    channel = CHANNELS[cfg.channel]
-    fcfg = FrameConfig(sf=sf, payload_symbols=cfg.payload_symbols,
-                       cp_len=cfg.resolved_cp_len())
-    fd = max_doppler_hz(cfg.speed_kmh, cfg.carrier_hz) if channel.moving else 0.0
+    fcfg, _, fd = _link(cfg, sf)
     key = _stream_key(cfg, sf, point_idx)
     tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
     rx = np.empty_like(tx)
-    if channel.multipath:
+    if CHANNELS[cfg.channel].multipath:
         decide = partial(_sim_frame, cfg, fcfg, fd, sigma2, taps)
     else:
         payload, n = cfg.payload_symbols, fcfg.n
@@ -528,10 +521,7 @@ def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
 def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float) -> SimRecord:
     sigma2 = _point_sigma2(cfg, sf, axis_db)
     channel = CHANNELS[cfg.channel]
-    taps = None
-    if channel.fading:
-        profile = _resolve_profile(cfg.tap_profile) if channel.multipath else FLAT_PROFILE
-        taps = profile.lag_groups(cfg.bandwidth_hz)
+    _, taps, _ = _link(cfg, sf)
     task = _each_frame if channel.multipath or channel.moving else _frozen_range
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0

@@ -79,19 +79,6 @@ class Scheme:
             raise ValueError(f"symbol outside 0..{n - 1}")
         return ks.astype(np.int64, copy=False)
 
-    def spectrum(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
-        """Despread spectra ``dft(despread(modulate(sf, symbols)))`` (..., N), built directly.
-
-        Each tone of amplitude ``sqrt(1 / streams)`` despreads to one bin of
-        height ``N / sqrt(streams)``: the in-phase stream's bin is real and the
-        quadrature stream's imaginary.
-        """
-        n = 1 << check_sf(sf)
-        ks = self._symbols(n, symbols)
-        hot = np.zeros((ks.size, n))
-        hot[np.arange(ks.size), ks.ravel()] = np.sqrt(n * n / self.streams)
-        return self.combine(hot.reshape(ks.shape + (n,)))
-
     def modulate(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Chirps of energy ``N`` carrying ``symbols`` (..., streams)."""
         n = 1 << check_sf(sf)

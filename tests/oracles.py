@@ -36,7 +36,7 @@ from chirplink.channel import (
     max_doppler_hz,
     tvfs_realization,
 )
-from chirplink.chirp import raw_upchirp
+from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync, build_frame, extract_regions
 from chirplink.harness import _MEAN_CAP, CHANNELS
 from chirplink.modem import SCHEMES
@@ -230,7 +230,8 @@ def explicit_frozen_decisions(
     equalized), then decided by the scheme's argmax rule.
     """
     spec = SCHEMES[scheme]
-    rx = apply_awgn(gain * spec.spectrum(sf, tx), (1 << sf) * sigma2, rng)
+    spectra = dft(despread(spec.modulate(sf, tx), sf))
+    rx = apply_awgn(gain * spectra, (1 << sf) * sigma2, rng)
     return spec.decide(rx if h_est is None else equalize_flat(rx, h_est))
 
 

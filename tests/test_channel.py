@@ -260,6 +260,16 @@ class TestTapProfile:
             with pytest.raises(ValueError, match="sum must be finite"):
                 TapProfile.from_db([0.0, 1.0], [0.0, 4000.0])
 
+    @pytest.mark.parametrize("rate", [1.9e24, 1e300, np.inf])
+    def test_delays_past_int64_rejected_without_warning(self, rate):
+        # the 5 us tap passes 2**63 samples at ~1.8e24 Hz; a cast would wrap it
+        profile = urban_12tap_profile()
+        assert profile.sample_delays(1.8e24).max() > 2**62
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                profile.sample_delays(rate)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

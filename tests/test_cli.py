@@ -234,6 +234,24 @@ class TestBerCommand:
         assert run_cli("ber", *args) == 2
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args",
+        [("--channel", "tvfs-est", "--bandwidth-hz", "1e300"),
+         ("--ebn0", "0:1e-320:1"), ("--ebn0", "0:1e-300:1e300")],
+    )
+    def test_overflowing_tap_lags_or_point_count_exit_2(self, tmp_path, monkeypatch, capsys, args):
+        # every input is finite, but the tap lags pass int64 or the point count is inf
+        def must_not_run(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("chirplink.harness._run_point", must_not_run)
+        out = tmp_path / "r.csv"
+        assert run_cli("ber", *args, "--out", str(out)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "spec,axis", [("-.5:0.5:0", (-0.5, 0.5, 0.0)), ("-.75:.25:-.25", (-0.75, 0.25, -0.25))]
     )
@@ -363,6 +381,12 @@ class TestChirpCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(values) == pytest.approx(128.0, rel=1e-9)
         assert values.index(max(values)) == 100
+
+    def test_symbol_defaults_to_zero(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("chirp", "--sf", "6", "--what", "waveform", "--out", str(a)) == 0
+        assert run_cli("chirp", "--sf", "6", "--what", "waveform", "-k", "0", "--out", str(b)) == 0
+        assert a.read_text() == b.read_text()
 
     def test_waveform_dump(self, tmp_path):
         out = tmp_path / "w.csv"

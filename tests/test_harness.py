@@ -15,6 +15,7 @@ from chirplink.harness import (
     ConfigError,
     SimConfig,
     SimRecord,
+    _link,
     _popcount,
     records_to_csv,
     run_ber,
@@ -66,9 +67,10 @@ class TestConfigValidation:
             tiny_cfg(**values).validate()
 
     def test_axis_point_count_bounded_before_allocation(self):
-        # 1.2e8 points: rejected from the count alone, no list is built
-        with pytest.raises(ConfigError, match="points"):
-            tiny_cfg(axis_start=0.0, axis_step=1e-7, axis_stop=12.0).validate()
+        # 1.2e8 points, then two counts that overflow to inf: rejected from the count alone
+        for step, stop in ((1e-7, 12.0), (1e-320, 1.0), (1e-300, 1e300)):
+            with pytest.raises(ConfigError, match="points"):
+                tiny_cfg(axis_start=0.0, axis_step=step, axis_stop=stop).validate()
         tiny_cfg(axis_start=0.0, axis_step=0.012, axis_stop=11.988).validate()
 
     @pytest.mark.parametrize("axis", ["ebn0", "snr"])
@@ -100,11 +102,11 @@ class TestConfigValidation:
 
     def test_tvfs_defaults_prefix_to_16(self):
         cfg = tiny_cfg(channel="tvfs-est")
-        assert cfg.resolved_cp_len() == 16
+        assert _link(cfg, 7)[0].cp_len == 16
         cfg.validate()
 
     def test_non_tvfs_defaults_prefix_to_zero(self):
-        assert tiny_cfg(channel="awgn").resolved_cp_len() == 0
+        assert _link(tiny_cfg(channel="awgn"), 7)[0].cp_len == 0
 
     def test_prefix_must_fit_smallest_chirp(self):
         with pytest.raises(ConfigError):

@@ -154,28 +154,28 @@ def test_loopback_every_sf_all_detectors(sf):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 @pytest.mark.parametrize("sf", [6, 9])
 def test_spectrum_is_despread_dft_of_modulate(name, sf):
-    # includes k_i == k_q pairs for iqcss, whose two tones share one bin
+    # the receiver front end turns each chirp into its one-hot spectrum: a tone
+    # of amplitude sqrt(1 / streams) despreads to one bin of height
+    # N / sqrt(streams), real on the in-phase stream and imaginary on the
+    # quadrature one; includes k_i == k_q pairs for iqcss, whose two tones share one bin
     scheme = SCHEMES[name]
+    n = 1 << sf
     rng = np.random.default_rng(sf)
-    ks = rng.integers(0, 1 << sf, size=(4, 50, scheme.streams))
+    ks = rng.integers(0, n, size=(4, 50, scheme.streams))
     ks[0, :, :] = ks[0, :, :1]
-    want = dft(despread(scheme.modulate(sf, ks), sf))
-    assert_allclose(scheme.spectrum(sf, ks), want, rtol=0, atol=1e-9 * (1 << sf))
-
-
-def test_spectrum_rejects_out_of_range_symbols():
-    with pytest.raises(ValueError):
-        SCHEMES["iqcss"].spectrum(SF7, [[0, 128]])
+    hot = np.zeros(ks.shape + (n,))
+    np.put_along_axis(hot, ks[..., None], n / np.sqrt(scheme.streams), axis=-1)
+    got = dft(despread(scheme.modulate(sf, ks), sf))
+    assert_allclose(got, scheme.combine(hot), rtol=0, atol=1e-9 * n)
 
 
 @pytest.mark.parametrize("symbols", [[3.7], [3.0], np.array([5.0]), [True]])
-@pytest.mark.parametrize("method", ["modulate", "spectrum"])
-def test_non_integer_symbols_rejected(method, symbols):
+def test_non_integer_symbols_rejected(symbols):
     # a float symbol is never truncated to the integer below it
     with pytest.raises(TypeError, match="symbols must be integers"):
-        getattr(LORA, method)(SF7, symbols)
+        LORA.modulate(SF7, symbols)
     with pytest.raises(TypeError, match="symbols must be integers"):
-        getattr(IQ, method)(SF7, [[5.9, 1.2]])
+        IQ.modulate(SF7, [[5.9, 1.2]])
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
