@@ -19,6 +19,11 @@ the 18 frozen-channel hashes (sf7 and sf9): after tx symbols, fade phases and
 the estimate error, each frozen data chirp draws its decision from the order
 statistic of its noise bins (``chirplink.orderstat``) instead of the N noise
 bins themselves.
+
+The sf10 and sf12 table was added later under version 4.  It pins only the
+channels that build per-point tables or simulate the waveform
+(``rayleigh-mobile-est``, ``tvfs-perfect``, ``tvfs-est``), where the tone
+indices, the fade tables and the chirp spectrum span the most samples.
 """
 
 import hashlib
@@ -72,6 +77,27 @@ GOLDEN_SF9_SHA256 = {
     ("tvfs-est", "iqcss"): "52047016c6f5a3b12b911b2c1508504b59a3cd4aefd04caf8db654df9ee1481a",
 }
 
+GOLDEN_LARGE_SF_SHA256 = {
+    (10, "rayleigh-mobile-est", "lora-noncoherent"): "0ff50d8e33614d10e684f7fb7b9906b9e39a30ca5b751bae987249178132eb7f",
+    (10, "rayleigh-mobile-est", "lora-coherent"): "b794004bfaa3b300744bf1c3260ea7bca74bdfbce399f4b2e46aedde340c2163",
+    (10, "rayleigh-mobile-est", "iqcss"): "91946567319a70043ec1b329a26bfd794c66ed4cb959c07bc132c92e55623683",
+    (10, "tvfs-perfect", "lora-noncoherent"): "4a633138d6717bf0a318ae3f0e2bb30364fdca80866e9f845a0c3ba1095ef9c1",
+    (10, "tvfs-perfect", "lora-coherent"): "8eaa8bafec67e931208ec03d2d59995287d2a6d93eefa9cc996e83385abfb611",
+    (10, "tvfs-perfect", "iqcss"): "4c0be33a3632fc32a9de335dbc9d0c26bdba933dc62553f176f84a880b98a0c7",
+    (10, "tvfs-est", "lora-noncoherent"): "4a633138d6717bf0a318ae3f0e2bb30364fdca80866e9f845a0c3ba1095ef9c1",
+    (10, "tvfs-est", "lora-coherent"): "924224ef22dc0f66ea72589010f0633be10180bd212bd57ae0f062e653e1d5c1",
+    (10, "tvfs-est", "iqcss"): "11d9e1554d6740270291124cda970a90ba36fe8b24c7c859bccf2e33b9a10893",
+    (12, "rayleigh-mobile-est", "lora-noncoherent"): "28a52b5b62045193b612c37df1be4043fe90925590a5819041e3df8ca96113c2",
+    (12, "rayleigh-mobile-est", "lora-coherent"): "9352c13d6456fcb32729c989e7930f529cb57cf8d8473e1bb4fc9a92409265eb",
+    (12, "rayleigh-mobile-est", "iqcss"): "e6d406521aebb34a820d1c502cde579d1057b3f8fb64190d0fbf84a303b9adf2",
+    (12, "tvfs-perfect", "lora-noncoherent"): "e38faaca9720fada1486cd3ea3f222108d65e21b3714c81b2c1915ab729188a9",
+    (12, "tvfs-perfect", "lora-coherent"): "4d66463137c762aa1fb6356e87cb2e43bf994075614452d9bee39d1675a61d38",
+    (12, "tvfs-perfect", "iqcss"): "85bef30e6a991cf9afa6921b4e9c722d12cab2ef489d170ce199dc3a20b2b0de",
+    (12, "tvfs-est", "lora-noncoherent"): "e38faaca9720fada1486cd3ea3f222108d65e21b3714c81b2c1915ab729188a9",
+    (12, "tvfs-est", "lora-coherent"): "d809890083c7cc4b646ab609effdda9d8cadc71f2d7f309b37f23822038325cc",
+    (12, "tvfs-est", "iqcss"): "1cbbd50cfe02ef2e1ddfdb9443d8a25625e8918623263a8607a3ab4463de9d1d",
+}
+
 
 def _csv_sha256(channel: str, scheme: str, sf: int) -> str:
     # 60 km/h so the mobile channel differs from the block-static one
@@ -101,3 +127,8 @@ def test_csv_bytes_match_golden(channel, scheme):
 @pytest.mark.parametrize("channel,scheme", sorted(GOLDEN_SF9_SHA256))
 def test_sf9_csv_bytes_match_golden(channel, scheme):
     assert _csv_sha256(channel, scheme, 9) == GOLDEN_SF9_SHA256[(channel, scheme)]
+
+
+@pytest.mark.parametrize("sf,channel,scheme", sorted(GOLDEN_LARGE_SF_SHA256))
+def test_large_sf_csv_bytes_match_golden(sf, channel, scheme):
+    assert _csv_sha256(channel, scheme, sf) == GOLDEN_LARGE_SF_SHA256[(sf, channel, scheme)]
