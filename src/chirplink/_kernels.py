@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
+
+
+@lru_cache(maxsize=8)
+def _tables(omegas: bytes, ts: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`jakes_trace`'s read-only coarse and interleaved fine tables of the
+    float64 grid ``omegas`` (as bytes), built once per (grid, ts, n_samples)."""
+    omegas = np.frombuffer(omegas)
+    block = isqrt(n_samples)
+    n_blocks = -(-n_samples // block)
+    coarse = np.exp(1j * np.outer(np.arange(n_blocks) * (block * ts), omegas))
+    conj_fine = np.exp(-1j * np.outer(np.arange(block) * ts, omegas))
+    fine = np.stack([conj_fine, 1j * conj_fine], axis=1).view(np.float64).reshape(2 * block, -1)
+    coarse.flags.writeable = fine.flags.writeable = False
+    return coarse, fine
 
 
 def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: int) -> np.ndarray:
@@ -24,12 +39,15 @@ def jakes_trace(omegas: np.ndarray, weights: np.ndarray, ts: float, n_samples: i
     caller: only the harness's frame ranges run under the one-thread BLAS
     pin (:mod:`._blas`), and ``tvfs_realization`` is public, so a BLAS
     product here could start a thread pool beside the caller's work.
+
+    The two tables depend only on ``omegas``, ``ts`` and ``n_samples``, so
+    they are cached per (grid, ts, n_samples), the last 8 kept, and every
+    caller with the same inputs shares them: a sweep point's frames build
+    them once.  The cached tables are read-only arrays; only ``weights``
+    changes per call.
     """
-    block = isqrt(n_samples)
-    n_blocks = -(-n_samples // block)
-    coarse = np.exp(1j * np.outer(np.arange(n_blocks) * (block * ts), omegas))
-    conj_fine = np.exp(-1j * np.outer(np.arange(block) * ts, omegas))
-    fine = np.stack([conj_fine, 1j * conj_fine], axis=1).view(np.float64).reshape(2 * block, -1)
+    omegas = np.asarray(omegas, dtype=np.float64).tobytes()
+    coarse, fine = _tables(omegas, ts, n_samples)
     terms = np.ascontiguousarray(coarse * weights.T[:, None, :]).view(np.float64)
     out = np.einsum("lbk,jk->lbj", terms, fine, optimize=False).view(np.complex128)
     return out.reshape(len(out), -1)[:, :n_samples]

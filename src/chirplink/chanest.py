@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,13 @@ def ls_flat(preamble_rx: np.ndarray, preamble_ref: np.ndarray) -> complex:
     return complex(np.vdot(ref, rx) / energy)
 
 
+@lru_cache(maxsize=None)
+def _conj_chirp_spectrum(n: int) -> np.ndarray:
+    spectrum = np.conj(np.fft.fft(_upchirp_readonly(n)))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def ls_selective(y_bar: np.ndarray, sf: int) -> np.ndarray:
     """Length-N impulse-response taps from the averaged, prefix-stripped sync chirp.
 
@@ -38,13 +46,14 @@ def ls_selective(y_bar: np.ndarray, sf: int) -> np.ndarray:
     up-chirp scaled by 1/N, equal to the full least-squares solve because the
     chirp's circulant matrix satisfies C^H C = N I.  Taps at delays beyond the
     cyclic prefix hold only noise; zero them with ``taps[cp_len:] = 0``.
+    The up-chirp's conjugate spectrum is computed once per N and cached as a
+    read-only array.
     """
     n = 1 << check_sf(sf)
     y = np.asarray(y_bar, dtype=np.complex128)
     if y.shape != (n,):
         raise ValueError(f"expected averaged sync chirp of {n} samples, got {y.shape}")
-    chirp_fd = np.fft.fft(_upchirp_readonly(n))
-    return np.fft.ifft(np.fft.fft(y) * np.conj(chirp_fd)) / n
+    return np.fft.ifft(np.fft.fft(y) * _conj_chirp_spectrum(n)) / n
 
 
 def equalize_flat(x: np.ndarray, h: complex | np.ndarray) -> np.ndarray:

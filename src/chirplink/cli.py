@@ -141,8 +141,11 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _check_output_dirs(*paths: str | None) -> None:
-    """Raise :class:`OSError` unless each given path's directory exists and is writable."""
+    """Raise :class:`OSError` unless each given path names no directory and its
+    directory exists and is writable."""
     for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
         parent = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
             raise OSError(f"cannot write {path}: {parent} is not a writable directory")

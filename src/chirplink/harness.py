@@ -216,7 +216,10 @@ class SimConfig:
                     )
 
 
-def _link(cfg: SimConfig, sf: int) -> tuple[FrameConfig, TapLags | None, float]:
+Link = tuple[FrameConfig, TapLags | None, float]
+
+
+def _link(cfg: SimConfig, sf: int) -> Link:
     """One sf's link: its frame layout, its lag groups (None without fading) and its Doppler.
 
     The prefix defaults to 16 samples on the multipath channels and 0 on the
@@ -303,20 +306,21 @@ def _errors(tx: np.ndarray, rx: np.ndarray, sf: int) -> tuple[int, int, int, int
 
 
 def _each_frame(
-    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags, lo: int, hi: int
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, link: Link, lo: int, hi: int
 ) -> tuple[int, int, int, int]:
     """Simulate multipath or moving flat frames ``[lo, hi)``, one at a time.
 
-    The frame layout and the Doppler are built once per range, and so are a
-    moving flat range's frame buffers (:func:`_moving_frame`), which each
-    frame overwrites.  Each frame's generator (:mod:`._keys`) draws its tx
+    The frame layout, the lags and the Doppler come from the point's ``link``
+    (:func:`_link`), built once per point.  A moving flat range's frame
+    buffers (:func:`_moving_frame`) are allocated once per range, and each
+    frame overwrites them.  Each frame's generator (:mod:`._keys`) draws its tx
     symbols, then :func:`_sim_frame` (multipath, on the waveform) or
     :func:`_moving_frame` (on despread spectra) makes the frame's other
     draws and returns the decided symbols.  The range runs on one BLAS
     thread.  Returns the summed (bits_sent, bit_errors, symbols_sent,
     symbol_errors).
     """
-    fcfg, _, fd = _link(cfg, sf)
+    fcfg, taps, fd = link
     key = _stream_key(cfg, sf, point_idx)
     tx = np.empty((hi - lo, cfg.payload_symbols, SCHEMES[cfg.scheme].streams), dtype=np.int64)
     rx = np.empty_like(tx)
@@ -443,8 +447,7 @@ def _moving_frame(
 
 
 def _frozen_range(
-    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, taps: TapLags | None,
-    lo: int, hi: int,
+    cfg: SimConfig, sf: int, sigma2: float, point_idx: int, link: Link, lo: int, hi: int
 ) -> tuple[int, int, int, int]:
     """Simulate frozen flat-channel frames ``[lo, hi)`` as one batch.
 
@@ -459,6 +462,7 @@ def _frozen_range(
     bit_errors, symbols_sent, symbol_errors).
     """
     n = 1 << sf
+    _, taps, _ = link
     scheme = SCHEMES[cfg.scheme]
     channel = CHANNELS[cfg.channel]
     law = scheme.law
@@ -521,14 +525,14 @@ def _point_sigma2(cfg: SimConfig, sf: int, axis_db: float) -> float:
 def _run_point(cfg: SimConfig, sf: int, point_idx: int, axis_db: float) -> SimRecord:
     sigma2 = _point_sigma2(cfg, sf, axis_db)
     channel = CHANNELS[cfg.channel]
-    _, taps, _ = _link(cfg, sf)
+    link = _link(cfg, sf)
     task = _each_frame if channel.multipath or channel.moving else _frozen_range
     t0 = time.perf_counter()
     bits = bit_errors = symbols = symbol_errors = 0
     done = 0
     while done < cfg.max_frames and bit_errors < cfg.min_bit_errors:
         hi = min(done + FRAMES_PER_BATCH, cfg.max_frames)
-        b, be, s, se = task(cfg, sf, sigma2, point_idx, taps, done, hi)
+        b, be, s, se = task(cfg, sf, sigma2, point_idx, link, done, hi)
         bits += b
         bit_errors += be
         symbols += s

@@ -77,15 +77,18 @@ class Scheme:
             raise ValueError(f"expected {self.streams} symbol(s) per chirp, got shape {ks.shape}")
         if ks.size and (ks.min() < 0 or ks.max() >= n):
             raise ValueError(f"symbol outside 0..{n - 1}")
-        return ks.astype(np.int64, copy=False)
+        return ks.astype(np.intp, copy=False)
 
     def modulate(self, sf: int, symbols: np.ndarray | Sequence) -> np.ndarray:
         """Chirps of energy ``N`` carrying ``symbols`` (..., streams)."""
         n = 1 << check_sf(sf)
         ks = self._symbols(n, symbols)
-        amp = np.sqrt(1.0 / self.streams)
-        tones = _unit_tones(n)[(ks[..., None] * np.arange(n)) % n]
-        return amp * self.combine(tones) * _upchirp_readonly(n)
+        index = ks[..., None] * np.arange(n)
+        index &= n - 1  # (k * t) mod N, as N is a power of two
+        chirps = self.combine(_unit_tones(n)[index])
+        chirps *= np.sqrt(1.0 / self.streams)
+        chirps *= _upchirp_readonly(n)
+        return chirps
 
     def detect(self, rx: np.ndarray, sf: int) -> np.ndarray:
         """Decide the symbols (..., streams) carried by chirps ``rx`` (..., N)."""

@@ -23,11 +23,11 @@ import math
 import numpy as np
 import pytest
 
-from chirplink.channel import FLAT_PROFILE
 from chirplink.harness import (
     _MEAN_CAP,
     SimConfig,
     _frozen_range,
+    _link,
     _point_sigma2,
     _tone_mean,
     run_ber,
@@ -70,12 +70,12 @@ def _mixing_seed(sf: int) -> int:
 def test_batch_matches_frame_by_frame(channel, scheme, sf):
     seed = _mixing_seed(sf) if scheme == "iqcss" else 1
     cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(sf,), seed=seed)
-    taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
+    link = _link(cfg, sf)
     errors = 0
     for point_idx, ebn0_db in enumerate(POINTS[channel]):
         sigma2 = _point_sigma2(cfg, sf, ebn0_db)
         for lo, hi in RANGES:
-            batch = _frozen_range(cfg, sf, sigma2, point_idx, taps, lo, hi)
+            batch = _frozen_range(cfg, sf, sigma2, point_idx, link, lo, hi)
             frames = [frozen_frame(cfg, sf, sigma2, point_idx, f) for f in range(lo, hi)]
             ref = tuple(int(sum(c)) for c in zip(*frames))
             assert batch == ref, f"{ebn0_db:g} dB, frames [{lo}, {hi}): {batch} != {ref}"
@@ -108,7 +108,7 @@ def test_noise_below_the_overflow_of_2n_over_sigma2_decides_right(scheme):
     # is certain to win, so no symbol may be wrong
     cfg = SimConfig(scheme=scheme, channel="awgn", sf_list=(7,))
     assert math.isinf(2.0 * 128 / 1e-306)
-    _, _, symbols, symbol_errors = _frozen_range(cfg, 7, 1e-306, 0, None, 0, 5)
+    _, _, symbols, symbol_errors = _frozen_range(cfg, 7, 1e-306, 0, _link(cfg, 7), 0, 5)
     assert symbols > 0 and symbol_errors == 0
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chirplink.chanest import (
+    _conj_chirp_spectrum,
     equalize_fd,
     equalize_flat,
     ls_flat,
@@ -247,3 +248,17 @@ def test_noiseless_end_to_end_selective_estimation():
     for (k_i, k_q), chirp_rx in zip(pairs, data):
         eq = equalize_fd(chirp_rx, est)
         assert_array_equal(SCHEMES["iqcss"].detect(eq, 7), [k_i, k_q])
+
+
+@pytest.mark.parametrize("sf", [6, 9, 12])
+def test_ls_selective_cached_chirp_spectrum_is_read_only(sf):
+    n = 1 << sf
+    y = np.random.default_rng(sf).standard_normal(n) + 0j
+    taps = ls_selective(y, sf)
+    spectrum = _conj_chirp_spectrum(n)
+    assert_array_equal(spectrum, np.conj(np.fft.fft(raw_upchirp(sf))))
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum[0] = 0.0
+    taps[sf:] = 0.0  # the estimate is the caller's own array
+    assert_array_equal(ls_selective(y, sf)[:sf], taps[:sf])

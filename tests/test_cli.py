@@ -275,6 +275,18 @@ class TestBerCommand:
         # a config error still exits 2 first
         assert run_cli("ber", "--ebn0", "nan", *args) == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_directory_as_output_exits_3_before_the_sweep(self, tmp_path, monkeypatch, flag):
+        def must_not_run(cfg):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli, "run_ber", must_not_run)
+        paths = {"--out": str(tmp_path / "r.csv"), "--plot": str(tmp_path / "r.svg")}
+        paths[flag] = str(tmp_path)  # an existing directory, whose parent is writable
+        args = [arg for item in paths.items() for arg in item]
+        assert run_cli("ber", "--channel", "tvfs-est", "--ebn0", "0", *args) == 3
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unplottable_sweep_exits_1_after_writing_csv(self, tmp_path):
         # no bit errors at 30 dB, so the BER plot has no point to draw
         out = tmp_path / "r.csv"

@@ -38,7 +38,7 @@ from chirplink.channel import FLAT_PROFILE, max_doppler_hz, tvfs_realization, ur
 from chirplink.chirp import despread, dft, raw_upchirp
 from chirplink.framing import FrameConfig, average_sync
 from chirplink.harness import (
-    SimConfig, _doppler_table, _each_frame, _frozen_range, _moving_flat, _point_sigma2
+    SimConfig, _doppler_table, _each_frame, _frozen_range, _link, _moving_flat, _point_sigma2
 )
 
 from oracles import preamble_mean_response, waveform_flat_frame, waveform_flat_rx
@@ -78,9 +78,9 @@ def test_despread_frames_match_waveform_reference(channel, scheme, ebn0_db):
         scheme=scheme, channel=channel, sf_list=(SF,), seed=9000 + case, speed_kmh=SPEED_KMH
     )
     sigma2 = _point_sigma2(cfg, SF, ebn0_db)
-    taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
+    link = _link(cfg, SF)
     task = _each_frame if channel == "rayleigh-mobile-est" else _frozen_range
-    fast = np.array([task(cfg, SF, sigma2, 0, taps, i, i + 1)[3] for i in range(frames)])
+    fast = np.array([task(cfg, SF, sigma2, 0, link, i, i + 1)[3] for i in range(frames)])
 
     rng = np.random.default_rng([4711, case])
     ref = np.empty(frames, dtype=np.int64)
@@ -153,9 +153,9 @@ def test_moving_range_equals_its_one_frame_ranges(scheme, sf, speed_kmh):
     cfg = SimConfig(scheme=scheme, channel="rayleigh-mobile-est", sf_list=(sf,), seed=23,
                     speed_kmh=speed_kmh)
     sigma2 = _point_sigma2(cfg, sf, 12.0)
-    taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    whole = _each_frame(cfg, sf, sigma2, 0, taps, 0, 32)
-    parts = np.array([_each_frame(cfg, sf, sigma2, 0, taps, i, i + 1) for i in range(32)])
+    link = _link(cfg, sf)
+    whole = _each_frame(cfg, sf, sigma2, 0, link, 0, 32)
+    parts = np.array([_each_frame(cfg, sf, sigma2, 0, link, i, i + 1) for i in range(32)])
     assert whole[3] > 0
     assert whole == tuple(parts.sum(axis=0))
 
@@ -170,10 +170,9 @@ def test_ragged_range_equals_its_one_frame_ranges(channel, ebn0_db, scheme):
     cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(7,), seed=23, speed_kmh=60.0,
                     payload_symbols=21)
     sigma2 = _point_sigma2(cfg, 7, ebn0_db)
-    profile = urban_12tap_profile() if channel == "tvfs-est" else FLAT_PROFILE
-    taps = profile.lag_groups(cfg.bandwidth_hz)
+    link = _link(cfg, 7)
     task = _frozen_range if channel in ("awgn", "rayleigh-static-est") else _each_frame
-    whole = task(cfg, 7, sigma2, 0, taps, 0, 32)
-    parts = np.array([task(cfg, 7, sigma2, 0, taps, i, i + 1) for i in range(32)])
+    whole = task(cfg, 7, sigma2, 0, link, 0, 32)
+    parts = np.array([task(cfg, 7, sigma2, 0, link, i, i + 1) for i in range(32)])
     assert whole[3] > 0
     assert whole == tuple(parts.sum(axis=0))

@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chirplink import _kernels
-from chirplink.channel import FLAT_PROFILE, apply_channel, max_doppler_hz
+from chirplink.channel import (
+    FLAT_PROFILE,
+    FOLDED_COS,
+    apply_channel,
+    max_doppler_hz,
+    tvfs_realization,
+    urban_12tap_profile,
+)
 
 from oracles import sos_tap_gains_per_lag
 
@@ -64,6 +71,39 @@ def test_jakes_trace_builds_no_sinusoid_by_sample_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n_lags * n * 16
+
+
+def test_cached_tables_serve_interleaved_callers():
+    # the tables are cached per (Doppler grid, ts, length): calls alternating
+    # two Doppler values, two lengths and both entry points must each match
+    # the taps synthesized one by one
+    profile = urban_12tap_profile()
+    taps = profile.lag_groups(RATE_HZ)
+    keys = [(speed_kmh, n) for speed_kmh in (3.0, 60.0) for n in (1001, 4320)]
+    for rnd in range(2):
+        for i, (speed_kmh, n) in enumerate(keys):
+            fd = max_doppler_hz(speed_kmh, 863e6)
+            phases = taps.draw_phases(np.random.default_rng([rnd, i]))
+            weights = taps.weights(phases)
+            if (rnd + i) % 2:
+                gains = tvfs_realization(n, taps, fd, weights)
+            else:
+                omegas = 2 * np.pi * fd * FOLDED_COS
+                gains = _kernels.jakes_trace(omegas, weights.T, 1.0 / RATE_HZ, n)
+            _, want = sos_tap_gains_per_lag(
+                profile.sample_delays(RATE_HZ), profile.powers, phases, fd, RATE_HZ, n
+            )
+            assert_allclose(gains, want, rtol=0, atol=1e-11)
+            gains[:, 0] = 0.0  # a trace is the caller's own array
+
+
+def test_cached_tables_are_read_only():
+    *_, weights, _, omegas = _per_lag_inputs(2, 60.0)
+    _kernels.jakes_trace(omegas, weights, 1.0 / RATE_HZ, 999)
+    for table in _kernels._tables(omegas.tobytes(), 1.0 / RATE_HZ, 999):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 def test_numpy_tdl_zero_delay_passthrough():

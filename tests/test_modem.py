@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from chirplink.chirp import despread, dft, raw_upchirp
+from chirplink.chirp import _upchirp_readonly, despread, dft, raw_upchirp
 from chirplink.channel import apply_awgn, ebn0_to_sigma2
-from chirplink.modem import SCHEMES
+from chirplink.modem import SCHEMES, _unit_tones
 
 SF7 = 7
 LORA, COHERENT, IQ = SCHEMES["lora-noncoherent"], SCHEMES["lora-coherent"], SCHEMES["iqcss"]
@@ -184,3 +184,20 @@ def test_integer_symbol_dtypes_accepted(dtype):
     assert_array_equal(IQ.detect(IQ.modulate(SF7, pairs), SF7), pairs)
     assert_array_equal(LORA.detect(LORA.modulate(SF7, [[5], [127]]), SF7), [[5], [127]])
     assert LORA.modulate(SF7, np.empty((0, 1))).shape == (0, 128)
+
+
+@pytest.mark.parametrize("sf", range(6, 13))
+@pytest.mark.parametrize("name", SCHEMES)
+def test_modulate_keeps_the_modulo_index_bytes(name, sf):
+    # the masked tone index and in-place scaling give the bytes of the
+    # (k * t) mod N index form, scaled as amp * tones * up-chirp
+    scheme, n = SCHEMES[name], 1 << sf
+    ks = np.random.default_rng(sf).integers(0, n, size=(12, scheme.streams))
+    ks[0], ks[1], ks[2] = 0, n - 1, ks[2, 0]  # symbols 0 and N-1; k_i == k_q
+    ks[3, -1] = n - 1 - ks[3, 0]
+    tones = _unit_tones(n)[(ks.astype(np.int64)[..., None] * np.arange(n)) % n]
+    want = np.sqrt(1.0 / scheme.streams) * scheme.combine(tones) * _upchirp_readonly(n)
+    got = scheme.modulate(sf, ks)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert scheme.modulate(sf, ks[1]).tobytes() == want[1].tobytes()

@@ -29,8 +29,9 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr as scipy_log_ndtr
 
-from chirplink.channel import FLAT_PROFILE
-from chirplink.harness import SimConfig, _frozen_range, _point_sigma2, _popcount, _tone_mean
+from chirplink.harness import (
+    SimConfig, _frozen_range, _link, _point_sigma2, _popcount, _tone_mean
+)
 from chirplink.modem import SCHEMES
 from chirplink.orderstat import log1mexp, log_ndtr
 
@@ -80,8 +81,8 @@ def test_order_statistic_matches_explicit_bins(channel, scheme, sf, ebn0_db, fra
     case = CASES.index((channel, scheme, sf, ebn0_db, frames))
     cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(sf,), seed=12000 + case)
     sigma2 = _point_sigma2(cfg, sf, ebn0_db)
-    taps = FLAT_PROFILE.lag_groups(cfg.bandwidth_hz)
-    fast = np.array([_frozen_range(cfg, sf, sigma2, 0, taps, i, i + 1) for i in range(frames)])
+    link = _link(cfg, sf)
+    fast = np.array([_frozen_range(cfg, sf, sigma2, 0, link, i, i + 1) for i in range(frames)])
     rng = np.random.default_rng([4712, case])
     ref = [explicit_frozen_frame(scheme, channel, sf, sigma2, cfg.payload_symbols, rng)
            for _ in range(frames)]
@@ -182,11 +183,10 @@ def test_deep_tails_are_finite_and_silent():
     # frozen frames at extreme valid noise levels stay silent too: at
     # sigma2 = 1e-306 an sf7 tone sits ~1.6e154 deviations out, whose square
     # would overflow
-    taps = FLAT_PROFILE.lag_groups(250e3)
     for scheme in SCHEME_NAMES:
         for channel in ("awgn", "rayleigh-static-est"):
             cfg = SimConfig(scheme=scheme, channel=channel, sf_list=(7,))
             for sigma2 in (1e-306, 1e300):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    _frozen_range(cfg, 7, sigma2, 0, taps, 0, 1)
+                    _frozen_range(cfg, 7, sigma2, 0, _link(cfg, 7), 0, 1)

@@ -6,6 +6,7 @@ batch the way ``perfbench/setup_probe.py`` and ``perfbench/run.py`` do.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import chirplink
@@ -28,3 +29,25 @@ def test_benchmark_names_load_and_run(tmp_path, monkeypatch):
             assert chirplink.records_to_csv(records).count("\n") == 1 + len(records)
             plotting.plot_records_svg(records, tmp_path / f"{name}.svg", kind="throughput")
             assert (tmp_path / f"{name}.svg").is_file()
+
+
+def test_traced_jakes_work_reads_the_kernel_arguments(monkeypatch):
+    # spans._jakes_work reads jakes_trace's omegas (args[0] or the keyword) and
+    # n_samples (args[3] or the keyword); a renamed or reordered parameter, or
+    # a caller passing them otherwise, would silently zero kernels.jakes_*
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    kernels = importlib.import_module("chirplink._kernels")
+    harness = importlib.import_module("chirplink.harness")
+    params = list(inspect.signature(kernels.jakes_trace).parameters)
+    assert params[0] == "omegas" and params[3] == "n_samples"
+    (cfg,) = workloads.warmup_configs(harness.SimConfig, "tvfs-sf7")
+    with spans.Tracer().install(harness, kernels) as tracer:
+        (record,) = harness.run_ber(cfg)
+    calls, (exps, nbytes) = tracer.counts()["_kernels.jakes_trace"]
+    frames = record.bits_sent // (cfg.payload_symbols * 2 * cfg.sf_list[0])
+    frame_len = harness._link(cfg, cfg.sf_list[0])[0].total_samples
+    assert calls == frames >= 1
+    assert exps == calls * 32 * frame_len
+    assert nbytes == calls * 16 * frame_len
