@@ -234,8 +234,12 @@ def load_tap_profile(path) -> TapProfile:
             parts = stripped.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'delay_us power_db'")
-            delays.append(float(parts[0]))
-            powers.append(float(parts[1]))
+            try:
+                delay, power = (float(part) for part in parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            delays.append(delay)
+            powers.append(power)
     return TapProfile.from_db(delays, powers)
 
 

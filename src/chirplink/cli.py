@@ -1,9 +1,13 @@
 """Command-line front end: ``ber``, ``throughput``, ``loopback`` and ``chirp``.
 
-Options mirror :class:`~chirplink.harness.SimConfig` fields; a flat
-``key = value`` config file may set any field, with command-line flags taking
-precedence.  Exit codes: 0 success, 1 failed loopback or a sweep whose plot
-could not be drawn (its CSV is written), 2 configuration error, 3 I/O error.
+Each :class:`~chirplink.harness.SimConfig` field but the axis has a flag
+(``--sf`` for ``sf_list``, ``--field-name`` for the others) and a key in a
+flat ``key = value`` config file.  A flag and its key read the same text the
+same way (``none`` resets an optional field), and flags take precedence.
+Exit codes: 0 success, 1 failed loopback or a sweep whose plot could not be
+drawn (its CSV is written), 2 configuration error (including outputs that
+would overwrite each other or the config file, and a repeated spreading
+factor), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -17,31 +21,32 @@ import typing
 
 import numpy as np
 
-from .chirp import VALID_SF, despread, dft
+from .chirp import VALID_SF, check_sf, despread, dft
 from .modem import SCHEMES
 from .channel import apply_awgn, snr_to_sigma2
-from .harness import (
-    CHANNELS, ConfigError, SimConfig, _config_sf, run_ber, run_throughput, write_csv
-)
+from .harness import CHANNELS, ConfigError, SimConfig, run_ber, run_throughput, write_csv
 from .plotting import plot_records_svg
 
 _FIELD_TYPES = typing.get_type_hints(SimConfig)
-# Fields set by hand-written flags (--sf and the axis flags); every other
-# field gets a ``--field-name`` flag of its own type.
-_CUSTOM_FLAG_FIELDS = {"sf_list", "axis", "axis_start", "axis_step", "axis_stop"}
-_FLAG_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SimConfig) if f.name not in _CUSTOM_FLAG_FIELDS
-)
-_FLAG_CHOICES = {"scheme": tuple(SCHEMES), "channel": tuple(CHANNELS)}
+# Each field but the axis's has a flag; the axis flags (--ebn0, --snr) set those four.
+_FIELD_FLAGS = {
+    f.name: "--sf" if f.name == "sf_list" else "--" + f.name.replace("_", "-")
+    for f in dataclasses.fields(SimConfig)
+    if f.name not in {"axis", "axis_start", "axis_step", "axis_stop"}
+}
+_FLAG_HELP = {
+    "scheme": "one of " + ", ".join(SCHEMES),
+    "sf_list": "spreading factors, e.g. 7 or 7,8",
+    "channel": "one of " + ", ".join(CHANNELS),
+}
 
 
-def _field_type(name: str) -> tuple[type, bool]:
-    """A SimConfig field's type without ``| None``, and whether None is allowed."""
-    hint = _FIELD_TYPES[name]
-    args = typing.get_args(hint)
-    if type(None) in args:
-        return next(a for a in args if a is not type(None)), True
-    return hint, False
+def _config_sf(sf) -> int:
+    """:func:`~chirplink.chirp.check_sf`, its error raised as a :class:`ConfigError`."""
+    try:
+        return check_sf(sf)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_sf_list(text: str) -> tuple[int, ...]:
@@ -67,12 +72,14 @@ def parse_axis_spec(text: str) -> tuple[float, float, float]:
 
 
 def _coerce_field(name: str, text: str):
+    """A SimConfig field's value from its flag's or its config key's text."""
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {name!r}")
-    kind, optional = _field_type(name)
-    text = text.strip()
-    if optional and text.lower() == "none":
-        return None
+    kind, text = _FIELD_TYPES[name], text.strip()
+    if type(None) in typing.get_args(kind):  # an optional field
+        if text.lower() == "none":
+            return None
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
     if typing.get_origin(kind) is tuple:
         return _parse_sf_list(text)
     try:
@@ -101,10 +108,8 @@ def read_config_file(path: str) -> dict:
 
 def _add_sim_options(sub: argparse.ArgumentParser, axis_flags: tuple[str, ...]) -> None:
     sub.add_argument("--config", help="config file; flags override its values")
-    for name in _FLAG_FIELDS:
-        kind, _ = _field_type(name)
-        sub.add_argument("--" + name.replace("_", "-"), type=kind, choices=_FLAG_CHOICES.get(name))
-    sub.add_argument("--sf", help="spreading factors, e.g. 7 or 7,8")
+    for name, flag in _FIELD_FLAGS.items():
+        sub.add_argument(flag, dest=name, help=_FLAG_HELP.get(name))
     for flag in axis_flags:
         sub.add_argument(f"--{flag}", help="sweep in dB: start:step:stop or one value")
     sub.add_argument("--out", default="results.csv", help="output CSV path")
@@ -113,15 +118,14 @@ def _add_sim_options(sub: argparse.ArgumentParser, axis_flags: tuple[str, ...]) 
 
 
 def _config_from_args(args: argparse.Namespace) -> SimConfig:
-    overrides: dict = {}
-    if args.config:
-        overrides.update(read_config_file(args.config))
-
-    for name in _FLAG_FIELDS:
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    if args.sf is not None:
-        overrides["sf_list"] = _parse_sf_list(args.sf)
+    # each flag is read as its config key is, before the file, so a bad flag exits 2 first
+    flagged = {
+        name: _coerce_field(name, getattr(args, name))
+        for name in _FIELD_FLAGS
+        if getattr(args, name) is not None
+    }
+    overrides = read_config_file(args.config) if args.config else {}
+    overrides.update(flagged)
 
     given = [flag for flag in args.axis_flags if getattr(args, flag) is not None]
     if len(given) > 1:
@@ -133,11 +137,21 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         overrides["axis_step"] = step
         overrides["axis_stop"] = stop
     cfg = dataclasses.replace(SimConfig(), **overrides)
-    flags = {"speed_kmh": "--speed-kmh", "carrier_hz": "--carrier-hz"}
-    doppler = [flag for key, flag in flags.items() if key in overrides]
+    doppler = [_FIELD_FLAGS[key] for key in ("speed_kmh", "carrier_hz") if key in overrides]
     if doppler and cfg.channel in CHANNELS and not CHANNELS[cfg.channel].moving:
         raise ConfigError(f"channel {cfg.channel} does not move to use {', '.join(doppler)}")
     return cfg
+
+
+def _check_output_clashes(args: argparse.Namespace) -> None:
+    """Raise :class:`ConfigError` if ``--out``, ``--plot`` and ``--config`` share a file."""
+    seen: dict[str, str] = {}
+    for flag, path in (("--config", args.config), ("--out", args.out), ("--plot", args.plot)):
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ConfigError(f"{flag} {path} names the same file as {seen[real]}")
+            seen[real] = flag
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -156,6 +170,7 @@ def _cmd_sweep(args: argparse.Namespace, throughput: bool) -> int:
     if throughput and cfg.axis != "snr":
         raise ConfigError("throughput runs sweep the per-sample SNR axis; give --snr")
     cfg.validate()  # config errors exit 2 before an unwritable output exits 3
+    _check_output_clashes(args)
     _check_output_dirs(args.out, args.plot)  # before a sweep that may take hours
     records = run_throughput(cfg) if throughput else run_ber(cfg)
     write_csv(records, args.out)
@@ -193,6 +208,8 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
         raise ConfigError("trials must be >= 1")
     for sf in sfs:
         _config_sf(sf)
+    if len(set(sfs)) < len(sfs):
+        raise ConfigError(f"--sf repeats a spreading factor: {args.sf}")
     failures = 0
     for scheme in schemes:
         for sf in sfs:

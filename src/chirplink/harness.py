@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _blas
 from ._keys import frame_generators
-from .chirp import check_int, check_sf
+from .chirp import check_int
 from .modem import SCHEMES
 from .framing import FrameConfig, build_frame, extract_regions, average_sync
 from .chanest import ls_selective, equalize_flat, equalize_fd
@@ -89,14 +89,6 @@ MAX_AXIS_POINTS = 1000
 
 class ConfigError(ValueError):
     """Invalid simulation configuration (reported before any simulation runs)."""
-
-
-def _config_sf(sf) -> int:
-    """:func:`~chirplink.chirp.check_sf`, its error raised as a :class:`ConfigError`."""
-    try:
-        return check_sf(sf)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 @lru_cache(maxsize=8)
@@ -204,6 +196,8 @@ class SimConfig:
                 _link(self, sf)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from exc
+        if len(set(self.sf_list)) < len(self.sf_list):  # each sf is an int by now
+            raise ConfigError(f"sf_list repeats a spreading factor: {self.sf_list}")
         for sf in self.sf_list:
             for db in self.axis_points():
                 try:

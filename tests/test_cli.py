@@ -8,7 +8,7 @@ import pytest
 
 from chirplink import cli
 from chirplink.cli import cli_main, parse_axis_spec, read_config_file
-from chirplink.harness import CSV_COLUMNS, ConfigError
+from chirplink.harness import CSV_COLUMNS, ConfigError, SimConfig
 
 
 def run_cli(*args) -> int:
@@ -418,6 +418,92 @@ class TestChirpCommand:
                 == 0
             )
         assert a.read_text() == b.read_text()
+
+
+def _no_simulation(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr("chirplink.harness._run_point", must_not_run)
+
+
+# one value per SimConfig field that has a flag, as its flag and its config key take it
+FIELD_TEXT = [
+    ("scheme", "iqcss"), ("sf_list", "7,8"), ("channel", "rayleigh-mobile-est"),
+    ("max_frames", "3"), ("min_bit_errors", "4"), ("seed", "9"), ("bandwidth_hz", "125e3"),
+    ("carrier_hz", "868e6"), ("speed_kmh", "3"), ("cp_len", "none"), ("cp_len", "20"),
+    ("payload_symbols", "5"), ("workers", "2"), ("tap_profile", "none"),
+]
+
+
+@pytest.mark.parametrize("field,text", FIELD_TEXT)
+def test_a_flag_reads_its_text_as_its_config_key_does(tmp_path, monkeypatch, field, text):
+    seen = []
+    monkeypatch.setattr(cli, "run_ber", lambda cfg: seen.append(cfg) or [])
+    # a moving multipath channel takes every field; the channel case sets its own
+    context = () if field == "channel" else ("--channel", "tvfs-est")
+    flag = "--sf" if field == "sf_list" else "--" + field.replace("_", "-")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{field} = {text}\n")
+    out = str(tmp_path / "r.csv")
+    assert run_cli("ber", *context, flag, text, "--ebn0", "0", "--out", out) == 0
+    assert run_cli("ber", *context, "--config", str(cfg), "--ebn0", "0", "--out", out) == 0
+    assert seen[0] == seen[1]
+    # the value took effect: only none leaves an optional field at its default
+    assert (getattr(seen[0], field) == getattr(SimConfig(), field)) == (text == "none")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--scheme", "bogus"), ("--channel", "bogus"), ("--workers", "1.5"),
+     ("--workers", "1.5", "--config", "missing.cfg"), ("--cp-len", "x", "--config", "missing.cfg"),
+     ("--sf", "7,7"), ("--sf", "8,7,8", "--channel", "tvfs-est")],
+    ids=" ".join,
+)
+def test_bad_flag_exits_2_with_one_config_error(tmp_path, monkeypatch, capsys, args):
+    _no_simulation(monkeypatch)
+    monkeypatch.chdir(tmp_path)  # missing.cfg does not exist there
+    assert run_cli("ber", *args, "--ebn0", "0", "--out", "r.csv") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [("--out", "same.x", "--plot", "same.x"), ("--out", "sim.cfg"),
+     ("--out", "r.csv", "--plot", "sim.cfg"), ("--out", "./sub/../sim.cfg")],
+    ids=" ".join,
+)
+def test_outputs_that_share_a_file_exit_2(tmp_path, monkeypatch, capsys, outputs):
+    _no_simulation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sim.cfg").write_text("seed = 3\n")
+    args = ("--config", "sim.cfg") if "sim.cfg" in "".join(outputs) else ()
+    assert run_cli("ber", *args, "--ebn0", "0", "--max-frames", "1", *outputs) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and "names the same file as" in line
+    assert (tmp_path / "sim.cfg").read_text() == "seed = 3\n"
+    assert not (tmp_path / "same.x").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_repeated_sf_exits_2_before_any_loopback(capsys):
+    assert run_cli("loopback", "--sf", "7,8,7") == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    (line,) = err.splitlines()
+    assert line.startswith("config error:")
+
+
+def test_bad_tap_profile_number_names_its_line(tmp_path, monkeypatch, capsys):
+    _no_simulation(monkeypatch)
+    profile = tmp_path / "bad.profile"
+    profile.write_text("0 0\nx 3\n")
+    args = ("--channel", "tvfs-est", "--tap-profile", str(profile), "--ebn0", "0")
+    assert run_cli("ber", *args, "--out", str(tmp_path / "r.csv")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and f"{profile}:2:" in line
 
 
 def _src_env() -> dict:

@@ -96,6 +96,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_cfg(sf_list=(5,)).validate()
 
+    @pytest.mark.parametrize("sf_list", [(7, 7), (8, 7, 8)])
+    def test_repeated_sf_rejected(self, sf_list):
+        # each point would run twice and write the same rows twice
+        with pytest.raises(ConfigError, match="repeats a spreading factor"):
+            tiny_cfg(sf_list=sf_list).validate()
+
     def test_tvfs_requires_prefix_covering_delays(self):
         with pytest.raises(ConfigError):
             tiny_cfg(channel="tvfs-est", cp_len=0).validate()
